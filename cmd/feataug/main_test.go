@@ -254,7 +254,7 @@ func TestFitTransformMultiRoundTrip(t *testing.T) {
 	if !strings.Contains(out, "relevant tables ->") {
 		t.Fatalf("fit output missing multi summary: %s", out)
 	}
-	// Per-source progress lines carry the shard identity.
+	// Per-source progress lines carry the source identity.
 	if !strings.Contains(out, "fit[buy]:") {
 		t.Fatalf("fit output missing per-source progress: %s", out)
 	}
@@ -293,8 +293,8 @@ func TestFitTransformMultiRoundTrip(t *testing.T) {
 		t.Fatalf("single spec on multi plan: err = %v", err)
 	}
 
-	// Serving tolerates a tiny fresh batch that may miss fit-time shards
-	// entirely: shards bind by the plan's source names (empty when absent),
+	// Serving tolerates a tiny fresh batch that may miss fit-time sources
+	// entirely: sources bind by the plan's source names (empty when absent),
 	// so the transform still succeeds with every planned column present.
 	buf.Reset()
 	errBuf.Reset()

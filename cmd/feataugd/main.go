@@ -35,7 +35,7 @@
 // paying the encode pass; GET /v1/stats surfaces the per-plan executor
 // counters (DictEncodes, DictHits, CodePredScans) alongside the scatter and
 // shared-scan ones. A
-// dataset:split=column scenario rebuilds the per-value shards of the
+// dataset:split=column scenario rebuilds the per-value sub-tables of the
 // relevant table and binds a MultiFeaturePlan across them.
 //
 // SIGTERM / SIGINT shut the daemon down gracefully: the listener stops, the
@@ -207,8 +207,9 @@ func parseScenario(spec string) (dataset, splitCol string, err error) {
 
 // bindingFor builds the plan's relevant-table binding from the dataset
 // scenario: the whole relevant table for a single-table scenario, or the
-// per-source shards a MultiFeaturePlan names for a split scenario (a source
-// with no matching rows binds an empty shard; its features serve NULL).
+// per-source sub-tables a MultiFeaturePlan names for a split scenario (a
+// source with no matching rows binds an empty table; its features serve
+// NULL).
 func bindingFor(d *datagen.Dataset, splitCol string, planJSON []byte) (serve.PlanBinding, error) {
 	if splitCol == "" {
 		return serve.PlanBinding{Relevant: d.Relevant}, nil
@@ -217,22 +218,9 @@ func bindingFor(d *datagen.Dataset, splitCol string, planJSON []byte) (serve.Pla
 	if err != nil {
 		return serve.PlanBinding{}, fmt.Errorf("split scenario needs a multi-table plan: %w", err)
 	}
-	col := d.Relevant.Column(splitCol)
-	if col == nil {
-		return serve.PlanBinding{}, fmt.Errorf("split column %q not in relevant table", splitCol)
-	}
-	if col.Kind() != dataframe.KindString {
-		return serve.PlanBinding{}, fmt.Errorf("split column %q is %s; splitting needs a string column", splitCol, col.Kind())
-	}
-	sources := make(map[string]*dataframe.Table, len(mp.Sources))
-	for _, name := range mp.SourceNames() {
-		var idx []int
-		for i := 0; i < d.Relevant.NumRows(); i++ {
-			if !col.IsNull(i) && col.Str(i) == name {
-				idx = append(idx, i)
-			}
-		}
-		sources[name] = d.Relevant.Shard(idx)
+	_, sources, _, err := d.SplitRelevant(splitCol, mp.SourceNames())
+	if err != nil {
+		return serve.PlanBinding{}, err
 	}
 	return serve.PlanBinding{Sources: sources}, nil
 }

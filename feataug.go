@@ -12,10 +12,8 @@
 //     streaming shared scans per plan group instead of one scan per query —
 //     the engine, the baselines and the evaluator all execute queries
 //     through it; scans proceed morsel by morsel (fixed row ranges, prompt
-//     cancellation) and executors over shards of one table share the
-//     parent's scan state through a ScanScheduler, with a sharded-table
-//     router (NewShardedExecutor / ShardedTable) answering logical-table
-//     queries bit-identically,
+//     cancellation) and executors over one table can share its scan state
+//     through a ScanScheduler,
 //   - a TPE hyper-parameter optimiser with warm-starting,
 //   - LR / RF / XGBoost-style GBDT / DeepFM downstream models and metrics,
 //   - the FeatAug engine itself (SQL query generation + query template
@@ -135,23 +133,12 @@ func ProcessJoinCache() *JoinCache { return query.ProcessJoinCache() }
 // given cache instead of the process-level default.
 func WithJoinCache(c *JoinCache) ExecutorOption { return query.WithJoinCache(c) }
 
-// Morsel-driven shared scans and the sharded-table router.
-type (
-	// Morsel is one fixed-size row range of a Table — the unit the executor
-	// scans, cancels and counts by.
-	Morsel = dataframe.Morsel
-	// MorselID is a morsel's stable identity: table fingerprint + row range.
-	MorselID = dataframe.MorselID
-	// ScanScheduler shares relevant-table scan state (group indexes,
-	// predicate bitmaps, float views, counting-sort domains) across
-	// executors over the same physical table — in particular executors over
-	// shards of one parent built with Table.Shard.
-	ScanScheduler = query.ScanScheduler
-	// ShardedTable declares k named shards partitioning one logical
-	// relevant table; its Inputs feed FitMulti and its Router answers
-	// queries over the whole logical table.
-	ShardedTable = feataug.ShardedTable
-)
+// Morsel-driven shared scans.
+
+// ScanScheduler shares relevant-table scan state (group indexes, predicate
+// bitmaps, float views, counting-sort domains) across executors over the
+// same table.
+type ScanScheduler = query.ScanScheduler
 
 // DefaultMorselRows is the row count of one scan morsel when no override is
 // configured.
@@ -161,8 +148,8 @@ const DefaultMorselRows = dataframe.DefaultMorselRows
 // that must not share with the process-level default.
 func NewScanScheduler() *ScanScheduler { return query.NewScanScheduler() }
 
-// ProcessScanScheduler returns the process-level scheduler shard executors
-// adopt by default.
+// ProcessScanScheduler returns the process-level scheduler, for executors
+// that should share scan state with every other executor opted into it.
 func ProcessScanScheduler() *ScanScheduler { return query.ProcessScanScheduler() }
 
 // WithScanScheduler makes an executor share scan state through the given
@@ -172,26 +159,6 @@ func WithScanScheduler(s *ScanScheduler) ExecutorOption { return query.WithScanS
 // WithMorselRows overrides the morsel size of an executor's private scan
 // core (scheduler-shared cores take their size from the scheduler).
 func WithMorselRows(n int) ExecutorOption { return query.WithMorselRows(n) }
-
-// NewShardedExecutor builds the router executor over the logical table a set
-// of provenance-carrying shards partitions; results are bit-identical to an
-// executor over the materialised union.
-func NewShardedExecutor(shards []*Table, opts ...ExecutorOption) (*Executor, error) {
-	return query.NewShardedExecutor(shards, opts...)
-}
-
-// NewShardedTableByValues partitions a table into one shard per distinct
-// non-NULL value of a string column, returning the router table and the
-// count of NULL rows excluded from every shard.
-func NewShardedTableByValues(t *Table, splitCol string) (*ShardedTable, int, error) {
-	return feataug.NewShardedTableByValues(t, splitCol)
-}
-
-// NewShardedTableRanges partitions a table into k contiguous row-range
-// shards named shard0..shard<k-1>.
-func NewShardedTableRanges(t *Table, k int) (*ShardedTable, error) {
-	return feataug.NewShardedTableRanges(t, k)
-}
 
 // FeatAug engine.
 type (

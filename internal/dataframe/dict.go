@@ -5,7 +5,7 @@ package dataframe
 // become integer compares, grouping becomes dense-array arithmetic, and the
 // counting-sort path reads the codes it used to re-derive per probe. The
 // encoding is cached on the column behind a sync.Once, so every consumer of
-// the same column — executors, shard subscribers, served plans — shares one
+// the same column — executors, scan cores, served plans — shares one
 // encode pass.
 //
 // Appends (PR 9) extend a built encoding IN PLACE whenever the delta keeps

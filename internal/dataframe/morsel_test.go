@@ -4,19 +4,6 @@ import (
 	"testing"
 )
 
-func morselTestTable(n int) *Table {
-	k := make([]int64, n)
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		k[i] = int64(i % 7)
-		x[i] = float64(i) * 1.5
-	}
-	return MustNewTable(
-		NewIntColumn("k", k, nil),
-		NewFloatColumn("x", x, nil),
-	)
-}
-
 func TestMorselBounds(t *testing.T) {
 	cases := []struct {
 		nrows, size int
@@ -46,100 +33,5 @@ func TestMorselBounds(t *testing.T) {
 	bounds := MorselBounds(DefaultMorselRows+1, 0)
 	if len(bounds) != 2 || bounds[0] != [2]int{0, DefaultMorselRows} || bounds[1] != [2]int{DefaultMorselRows, DefaultMorselRows + 1} {
 		t.Fatalf("default-size bounds = %v", bounds)
-	}
-}
-
-func TestMorselsExactCover(t *testing.T) {
-	tbl := morselTestTable(10)
-	ms := tbl.Morsels(4)
-	if len(ms) != 3 {
-		t.Fatalf("got %d morsels, want 3", len(ms))
-	}
-	next := 0
-	for i, m := range ms {
-		lo, hi := m.Bounds()
-		if lo != next {
-			t.Fatalf("morsel %d starts at %d, want %d (gap or overlap)", i, lo, next)
-		}
-		if m.Len() != hi-lo {
-			t.Fatalf("morsel %d Len = %d, want %d", i, m.Len(), hi-lo)
-		}
-		if m.Table() != tbl {
-			t.Fatalf("morsel %d table pointer diverged", i)
-		}
-		id := m.ID()
-		if id.Table != tbl.Fingerprint() || id.Lo != lo || id.Hi != hi {
-			t.Fatalf("morsel %d ID = %+v, want {%d %d %d}", i, id, tbl.Fingerprint(), lo, hi)
-		}
-		next = hi
-	}
-	if next != tbl.NumRows() {
-		t.Fatalf("morsels cover %d rows, want %d", next, tbl.NumRows())
-	}
-	// Identity is stable across calls and distinct across tables.
-	again := tbl.Morsels(4)
-	if again[1].ID() != ms[1].ID() {
-		t.Fatal("morsel IDs not stable across calls")
-	}
-	other := morselTestTable(10)
-	if other.Morsels(4)[1].ID() == ms[1].ID() {
-		t.Fatal("morsel IDs of distinct tables collide")
-	}
-}
-
-func TestShardProvenance(t *testing.T) {
-	tbl := morselTestTable(12)
-	rows := []int{2, 3, 7, 11}
-	sh := tbl.Shard(rows)
-
-	parent, got, ok := sh.ShardOf()
-	if !ok || parent != tbl {
-		t.Fatalf("ShardOf: parent %v ok %v, want original table", parent, ok)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("ShardOf rows = %v, want %v", got, rows)
-	}
-	for i := range rows {
-		if got[i] != rows[i] {
-			t.Fatalf("ShardOf rows = %v, want %v", got, rows)
-		}
-	}
-
-	// The shard's visible contents equal a plain Take of the same rows.
-	want := tbl.Take(rows)
-	if sh.NumRows() != want.NumRows() {
-		t.Fatalf("shard has %d rows, want %d", sh.NumRows(), want.NumRows())
-	}
-	sx, wx := sh.Column("x").FloatData(), want.Column("x").FloatData()
-	for i := range wx {
-		if sx[i] != wx[i] {
-			t.Fatalf("shard row %d x = %v, want %v", i, sx[i], wx[i])
-		}
-	}
-
-	// Shard copies its row list: mutating the caller's slice must not leak in.
-	rows[0] = 9
-	if _, got, _ := sh.ShardOf(); got[0] != 2 {
-		t.Fatal("Shard aliased the caller's row slice")
-	}
-
-	// Ordinary and derived tables carry no provenance.
-	if _, _, ok := tbl.ShardOf(); ok {
-		t.Fatal("plain table claims shard provenance")
-	}
-	if _, _, ok := tbl.Take([]int{0, 1}).ShardOf(); ok {
-		t.Fatal("Take result claims shard provenance")
-	}
-	if _, _, ok := sh.Take([]int{0}).ShardOf(); ok {
-		t.Fatal("Take of a shard should drop provenance")
-	}
-
-	// Empty shards are legal (a serving batch may miss a fit-time shard).
-	empty := tbl.Shard(nil)
-	if empty.NumRows() != 0 {
-		t.Fatalf("empty shard has %d rows", empty.NumRows())
-	}
-	if p, r, ok := empty.ShardOf(); !ok || p != tbl || len(r) != 0 {
-		t.Fatal("empty shard lost provenance")
 	}
 }

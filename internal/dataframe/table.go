@@ -20,11 +20,6 @@ type Table struct {
 	// append, meaning epoch 0 with the current row count).
 	epoch     atomic.Uint64
 	epochRows []int
-
-	// Shard provenance (set by Shard, nil otherwise): the parent table this
-	// table's rows were taken from, and the parent row index behind each row.
-	parent     *Table
-	parentRows []int
 }
 
 // NewTable builds a table from columns, which must share a length and have
@@ -149,14 +144,9 @@ func (t *Table) RowsAtEpoch(e uint64) int {
 // Appends are mutations: the caller must hold exclusive access to the table
 // (no scans in flight), the same contract as the per-value Append* methods.
 // Query-layer consumers go through their scheduler's epoch fence instead of
-// calling this directly. Tables with shard provenance reject AppendRows
-// (use AppendShardRows so parent row indices stay recorded), and tables
-// sharing columns with a larger table (SelectColumns views) must not be
-// appended through.
+// calling this directly. Tables sharing columns with a larger table
+// (SelectColumns views) must not be appended through.
 func (t *Table) AppendRows(batch *Table) error {
-	if t.parent != nil {
-		return fmt.Errorf("dataframe: AppendRows on a shard table; use AppendShardRows")
-	}
 	src := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
 		bc := batch.Column(c.name)
@@ -177,40 +167,6 @@ func (t *Table) AppendRows(batch *Table) error {
 	for i, c := range t.cols {
 		c.appendFrom(src[i])
 	}
-	t.recordEpoch(batch.NumRows())
-	return nil
-}
-
-// AppendShardRows is AppendRows for tables with shard provenance: it appends
-// the batch rows and records their parent row indices, keeping ShardOf
-// consistent. The caller is responsible for having appended (or arranging to
-// append) the same rows to the parent; the query layer's AppendSharded does
-// both under one fence.
-func (t *Table) AppendShardRows(batch *Table, parentRows []int) error {
-	if t.parent == nil {
-		return fmt.Errorf("dataframe: AppendShardRows on a table without shard provenance")
-	}
-	if batch.NumRows() != len(parentRows) {
-		return fmt.Errorf("dataframe: %d batch rows but %d parent rows", batch.NumRows(), len(parentRows))
-	}
-	src := make([]*Column, len(t.cols))
-	for i, c := range t.cols {
-		bc := batch.Column(c.name)
-		if bc == nil {
-			return fmt.Errorf("dataframe: append batch is missing column %q", c.name)
-		}
-		if bc.kind != c.kind {
-			return fmt.Errorf("dataframe: append batch column %q is %s, table has %s", c.name, bc.kind, c.kind)
-		}
-		src[i] = bc
-	}
-	if batch.NumRows() == 0 {
-		return nil
-	}
-	for i, c := range t.cols {
-		c.appendFrom(src[i])
-	}
-	t.parentRows = append(t.parentRows, parentRows...)
 	t.recordEpoch(batch.NumRows())
 	return nil
 }

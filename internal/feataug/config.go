@@ -94,8 +94,8 @@ type Config struct {
 	Stats func(query.ExecutorStats)
 
 	// suppressStatsLog drops the per-run executor-stats log line. FitMulti
-	// sets it on sharded-source runs so k shards of one table log one merged
-	// stats block instead of k interleaved ones.
+	// sets it on every per-source run and logs one merged stats line for the
+	// set instead of k interleaved ones.
 	suppressStatsLog bool
 }
 

@@ -2,7 +2,9 @@ package feataug
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataframe"
@@ -166,5 +168,81 @@ func TestAugmentMultiWithRelschemaFlatten(t *testing.T) {
 	}
 	if len(res.FeatureNames) == 0 {
 		t.Fatal("no features")
+	}
+}
+
+// TestFitMultiShardedMergedStats runs FitMulti over two plain sub-tables of
+// one relevant table (the :split= shape) and requires -v-style logging to
+// carry exactly ONE merged executor-stats block for the set, instead of one
+// interleaved block per source.
+func TestFitMultiShardedMergedStats(t *testing.T) {
+	users := dataframe.MustNewTable(
+		dataframe.NewIntColumn("user_id", []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}, nil),
+		dataframe.NewIntColumn("age", []int64{20, 30, 40, 50, 25, 35, 45, 55, 22, 33, 44, 56, 21, 31, 41, 51, 26, 36, 46, 57}, nil),
+		dataframe.NewIntColumn("label", []int64{1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0}, nil),
+	)
+	var (
+		uid []int64
+		amt []float64
+	)
+	for u := int64(1); u <= 20; u++ {
+		for j := int64(0); j < 3; j++ {
+			uid = append(uid, u)
+			base := float64(10)
+			if u%2 == 1 {
+				base = 50
+			}
+			amt = append(amt, base+float64(j))
+		}
+	}
+	orders := dataframe.MustNewTable(
+		dataframe.NewIntColumn("user_id", uid, nil),
+		dataframe.NewFloatColumn("amount", amt, nil),
+	)
+	half := orders.NumRows() / 2
+	var lo, hi []int
+	for i := 0; i < orders.NumRows(); i++ {
+		if i < half {
+			lo = append(lo, i)
+		} else {
+			hi = append(hi, i)
+		}
+	}
+	inputs := []RelevantInput{
+		{Name: "shard0", Table: orders.Take(lo), Keys: []string{"user_id"}, AggAttrs: []string{"amount"}},
+		{Name: "shard1", Table: orders.Take(hi), Keys: []string{"user_id"}, AggAttrs: []string{"amount"}},
+	}
+	base := pipeline.Problem{
+		Train: users, Label: "label", Task: ml.Binary,
+		BaseFeatures: []string{"age"},
+		Relevant:     orders, Keys: []string{"user_id"},
+	}
+	cfg := Config{Seed: 2, WarmupIters: 6, WarmupTopK: 2, GenIters: 2,
+		NumTemplates: 1, QueriesPerTemplate: 1, MaxDepth: 1, TemplateProxyIters: 3}
+	var mu sync.Mutex
+	var lines []string
+	_, err := FitMulti(context.Background(), base, inputs,
+		WithConfig(cfg), WithModel(ml.KindLR),
+		WithLogf(func(format string, args ...interface{}) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, perSource := 0, 0
+	for _, l := range lines {
+		if strings.Contains(l, "merged executor stats") {
+			merged++
+		} else if strings.Contains(l, "executor stats") {
+			perSource++
+		}
+	}
+	if merged != 1 {
+		t.Errorf("merged stats lines = %d, want exactly 1", merged)
+	}
+	if perSource != 0 {
+		t.Errorf("per-source stats lines = %d, want 0 (suppressed for multi-source runs)", perSource)
 	}
 }

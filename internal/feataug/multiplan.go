@@ -225,11 +225,10 @@ func (p *MultiFeaturePlan) Transformer(relevantByName map[string]*dataframe.Tabl
 		return nil, err
 	}
 	// One join cache and one scan scheduler across every per-source
-	// executor: the sources serve shards of one training table, so the
-	// train-side join index is built once per (training table, key-set)
-	// instead of once per source, and when the relevant tables are shards
-	// of one parent (dataframe.Shard provenance) their group indexes,
-	// predicate bitmaps and float views are built once per parent too.
+	// executor: the sources serve one training table, so the train-side
+	// join index is built once per (training table, key-set) instead of
+	// once per source, and sources bound to the same relevant table share
+	// its group indexes, predicate bitmaps and float views.
 	joins := query.NewJoinCache()
 	scans := query.NewScanScheduler()
 	mt := &MultiTransformer{plan: p}

@@ -373,7 +373,8 @@ func TestPredAttrsDefaultingParity(t *testing.T) {
 }
 
 // TestFitMultiProgressScoping asserts concurrent per-table engines report
-// progress and log lines scoped to their source name.
+// progress and log lines scoped to their source name; the one exception is
+// the single merged executor-stats line FitMulti logs for the whole set.
 func TestFitMultiProgressScoping(t *testing.T) {
 	base, inputs := multiTestInputs(t, 150, 17)
 	var mu sync.Mutex
@@ -400,10 +401,18 @@ func TestFitMultiProgressScoping(t *testing.T) {
 	if perSource["buys"] == 0 || perSource["browse"] == 0 {
 		t.Fatalf("per-source progress = %v, want both sources reporting", perSource)
 	}
+	merged := 0
 	for _, line := range logLines {
+		if strings.HasPrefix(line, "feataug: merged executor stats (2 sources): ") {
+			merged++
+			continue
+		}
 		if !strings.HasPrefix(line, "[buys] ") && !strings.HasPrefix(line, "[browse] ") {
 			t.Fatalf("log line lacks source scope: %q", line)
 		}
+	}
+	if merged != 1 {
+		t.Fatalf("merged executor-stats lines = %d, want exactly 1", merged)
 	}
 	if len(logLines) == 0 {
 		t.Fatal("no log lines captured")

@@ -161,10 +161,7 @@ type cachedFeature struct {
 
 // NewEvaluator constructs an evaluator for a problem/model pair. The problem
 // is normalized first (Normalized), so empty PredAttrs default to AggAttrs
-// uniformly across every entry point built on an evaluator. When p.Relevant
-// is a shard (built with dataframe.Shard), the executor automatically adopts
-// the process-level ScanScheduler, so evaluators over sibling shards share
-// one pass over the parent's columns instead of scanning it k times.
+// uniformly across every entry point built on an evaluator.
 func NewEvaluator(p Problem, model ml.Kind, seed int64) (*Evaluator, error) {
 	p = p.Normalized()
 	if err := p.Validate(); err != nil {

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -150,55 +149,6 @@ func TestDifferentialCompactDelta(t *testing.T) {
 			// k2 only ever sees in-domain values: compact throughout.
 			if !base.Column("k2").IsCompact() {
 				t.Error("k2 lost compact storage under in-domain appends")
-			}
-		})
-	}
-}
-
-// TestDifferentialCompactSharded runs compact parents through provenance
-// shards — k ∈ {1, 3}, shared scheduler, concurrent batches under -race —
-// against raw unencoded executors over materialised copies of the same rows.
-func TestDifferentialCompactSharded(t *testing.T) {
-	d := dupKeyTrainTable(150, 131)
-	rng := rand.New(rand.NewSource(132))
-	qs := randomPool(rng, 50)
-	for _, k := range []int{1, 3} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			r := compacted(t, largeRandomTable(400, 130))
-			shards := interleavedShards(r, k)
-			sched := NewScanScheduler()
-			gotV := make([][][]float64, len(shards))
-			gotOK := make([][][]bool, len(shards))
-			errs := make([]error, len(shards))
-			var wg sync.WaitGroup
-			for i, sh := range shards {
-				wg.Add(1)
-				go func(i int, sh *dataframe.Table) {
-					defer wg.Done()
-					e := NewExecutor(sh, WithScanScheduler(sched))
-					gotV[i], gotOK[i], errs[i] = e.AugmentValuesBatch(d, qs)
-				}(i, sh)
-			}
-			wg.Wait()
-			raw := largeRandomTable(400, 130)
-			for i, sh := range shards {
-				if errs[i] != nil {
-					t.Fatalf("shard %d: %v", i, errs[i])
-				}
-				_, rows, ok := sh.ShardOf()
-				if !ok {
-					t.Fatal("shard lost provenance")
-				}
-				ref := NewExecutor(raw.Take(rows))
-				ref.DisableDictEncoding = true
-				wantV, wantOK, err := ref.AugmentValuesBatch(d, qs)
-				if err != nil {
-					t.Fatalf("shard %d reference: %v", i, err)
-				}
-				for qi := range qs {
-					sameFeature(t, fmt.Sprintf("k=%d shard %d %s", k, i, qs[qi].SQL("r")),
-						gotV[i][qi], wantV[qi], gotOK[i][qi], wantOK[qi])
-				}
 			}
 		})
 	}

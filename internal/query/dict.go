@@ -12,8 +12,8 @@ package query
 // Encodings are owned at the tableCore layer: dictFor hands out one
 // dictEntry per (core, column), and the entry's build defers to
 // Column.Dict(), which caches on the column itself — so executors over
-// different cores of the same physical table (shard subscribers, served
-// plans) still share one encode pass. DisableDictEncoding on the executor
+// different cores of the same table (private cores, served plans) still
+// share one encode pass. DisableDictEncoding on the executor
 // forces every unencoded fallback; the differential tests sweep it.
 
 import (

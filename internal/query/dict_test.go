@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -110,64 +109,6 @@ func TestDifferentialDictEncoding(t *testing.T) {
 				// predicates cannot (the cat operand has no code).
 				if st := enc.Stats(); st.DictEncodes == 0 {
 					t.Errorf("highcard: no encode attempt recorded: %+v", st)
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialDictSharded runs the encoded path across provenance shards
-// of one parent — executors sharing a fresh scheduler, scanning concurrently,
-// k ∈ {1, 3} — against unencoded executors over materialised copies of the
-// same rows.
-func TestDifferentialDictSharded(t *testing.T) {
-	tables := map[string]*dataframe.Table{
-		"mixed":     largeRandomTable(400, 81),
-		"nullheavy": nullHeavyTable(400, 82),
-	}
-	d := dupKeyTrainTable(150, 83)
-	for name, r := range tables {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(84))
-			qs := randomPool(rng, 60)
-			for _, k := range []int{1, 3} {
-				for kind, shards := range map[string][]*dataframe.Table{
-					"range":      rangeShards(r, k),
-					"interleave": interleavedShards(r, k),
-				} {
-					sched := NewScanScheduler()
-					gotV := make([][][]float64, len(shards))
-					gotOK := make([][][]bool, len(shards))
-					errs := make([]error, len(shards))
-					var wg sync.WaitGroup
-					for i, sh := range shards {
-						wg.Add(1)
-						go func(i int, sh *dataframe.Table) {
-							defer wg.Done()
-							e := NewExecutor(sh, WithScanScheduler(sched))
-							gotV[i], gotOK[i], errs[i] = e.AugmentValuesBatch(d, qs)
-						}(i, sh)
-					}
-					wg.Wait()
-					for i, sh := range shards {
-						if errs[i] != nil {
-							t.Fatalf("k=%d %s shard %d: %v", k, kind, i, errs[i])
-						}
-						_, rows, ok := sh.ShardOf()
-						if !ok {
-							t.Fatal("shard lost provenance")
-						}
-						ref := NewExecutor(r.Take(rows))
-						ref.DisableDictEncoding = true
-						wantV, wantOK, err := ref.AugmentValuesBatch(d, qs)
-						if err != nil {
-							t.Fatalf("k=%d %s shard %d reference: %v", k, kind, i, err)
-						}
-						for qi := range qs {
-							sameFeature(t, fmt.Sprintf("k=%d %s shard %d %s", k, kind, i, qs[qi].SQL("r")),
-								gotV[i][qi], wantV[qi], gotOK[i][qi], wantOK[qi])
-						}
-					}
 				}
 			}
 		})

@@ -35,11 +35,9 @@ import (
 //     or whole batch — on the same plan group skips discovery entirely.
 //
 // The table-scoped caches (group indexes, bitmaps, masks, float views, domain
-// probes) live in a tableCore (see scheduler.go). An ordinary executor owns a
-// private core; an executor over a shard table (dataframe.Shard) scans its
-// parent through a ScanScheduler-shared core, restricted to the shard's rows,
-// so k executors over shards of one table run each table pass once between
-// them. Scans walk the table morsel by morsel (dataframe.MorselBounds),
+// probes) live in a tableCore (see scheduler.go): a private one by default,
+// or one shared through a ScanScheduler by every executor over the same
+// table. Scans walk the table morsel by morsel (dataframe.MorselBounds),
 // observing cancellation at every boundary.
 //
 // On top of the caches, the batch entry points (ExecuteBatch, AugmentBatch,
@@ -48,14 +46,8 @@ import (
 // per query (see fused.go). All methods are safe for concurrent use; batches
 // evaluate on a bounded worker pool.
 type Executor struct {
-	r    *dataframe.Table
-	core *tableCore // scan-side caches of the physical table core.t
-	// Shard restriction: when the executor's table is a shard, core.t is the
-	// parent and shardRows lists the parent rows the shard holds, in shard row
-	// order; scans visit only those rows. sharded distinguishes an empty shard
-	// from no shard.
-	shardRows     []int
-	sharded       bool
+	r             *dataframe.Table
+	core          *tableCore     // scan-side caches of the table (core.t == r)
 	sched         *ScanScheduler // nil = private core
 	optMorselRows int            // WithMorselRows, private cores only
 	// Parallelism bounds the batch worker pool; 0 means GOMAXPROCS.
@@ -155,8 +147,8 @@ type ExecutorStats struct {
 	// executor ran to build a shared-core entry (group index, predicate
 	// bitmap, float view, domain probe) vs lookups that subscribed to an entry
 	// another executor over the same core had already built. k executors over
-	// shards of one table converge on one set of passes between them, so
-	// summed SharedScanPasses stays near a single executor's count while
+	// one table converge on one set of passes between them, so summed
+	// SharedScanPasses stays near a single executor's count while
 	// SharedScanSubscribers absorbs the rest.
 	SharedScanPasses, SharedScanSubscribers int64
 	// MorselsScanned counts the morsel segments the executor's scans walked
@@ -319,8 +311,8 @@ type ExecutorOption func(*Executor)
 
 // WithJoinCache makes the executor share train-side join indexes through the
 // given cache instead of the process-level default. Multi-table transformers
-// pass one cache to every per-source executor, so k executors serving shards
-// of one training table build its index once between them.
+// pass one cache to every per-source executor, so k executors serving one
+// training table build its index once between them.
 func WithJoinCache(c *JoinCache) ExecutorOption {
 	return func(e *Executor) {
 		if c != nil {
@@ -330,14 +322,10 @@ func WithJoinCache(c *JoinCache) ExecutorOption {
 }
 
 // NewExecutor builds an executor over one relevant table. The table must not
-// be mutated while the executor is in use (caches index into its rows).
-//
-// A table built by dataframe.Shard is scanned through its PARENT: the
-// executor restricts every plan to the shard's rows but takes its scan-side
-// caches from a scheduler-shared core of the parent (the process-level
-// scheduler unless WithScanScheduler overrides it), so executors over sibling
-// shards share table passes. Results are bit-identical to an executor over
-// the materialised shard (the differential tests enforce it).
+// be mutated while the executor is in use except through Append or a
+// ScanScheduler's Append (caches index into its rows). The scan-side caches
+// come from the WithScanScheduler scheduler's shared core of the table when
+// one is given, else from a private core.
 func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 	e := &Executor{
 		r:         r,
@@ -347,23 +335,14 @@ func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 	for _, opt := range opts {
 		opt(e)
 	}
-	scan := r
-	if parent, rows, ok := r.ShardOf(); ok {
-		scan = parent
-		e.shardRows = rows
-		e.sharded = true
-		if e.sched == nil {
-			e.sched = processScheduler
-		}
-	}
 	if e.sched != nil {
-		e.core = e.sched.coreFor(scan)
+		e.core = e.sched.coreFor(r)
 	} else {
-		e.core = newTableCore(scan, e.optMorselRows)
+		e.core = newTableCore(r, e.optMorselRows)
 	}
 	// A fresh executor's (empty) private caches vacuously cover the current
 	// epoch; the first scan advances the shared core if it is behind.
-	e.epoch = scan.Epoch()
+	e.epoch = r.Epoch()
 	return e
 }
 
@@ -423,8 +402,8 @@ func (e *Executor) noteMorsel() {
 
 // groupIndex returns the cached GroupIndex for a key-set, building it on
 // first use. Key order matters (it fixes the output column order), so the
-// cache key preserves it. The index lives in the shared core and covers the
-// full scan table (the parent, for shard executors).
+// cache key preserves it. The index lives in the core and covers the whole
+// table.
 func (e *Executor) groupIndex(keys []string) (*dataframe.GroupIndex, error) {
 	k := strings.Join(keys, "\x1f")
 	c := e.core
@@ -824,26 +803,13 @@ func (e *Executor) countScan() {
 	e.mu.Unlock()
 }
 
-// shardMaskRows filters the shard's row list by a WHERE bitmap over the
-// parent table, preserving shard row order — the exact row sequence an
-// executor over the materialised shard would scan for the same mask.
-func shardMaskRows(shardRows []int, bits []uint64) []int {
-	rows := make([]int, 0, len(shardRows))
-	for _, i := range shardRows {
-		if bits[i>>6]&(1<<uint(i&63)) != 0 {
-			rows = append(rows, i)
-		}
-	}
-	return rows
-}
-
 // plan returns the cached plan-group entry for (keys, preds), running the
 // group-discovery scan on first use: the non-empty groups under the WHERE
 // mask in first-seen order over the matching rows (matching Query.Execute's
 // output order), with total matching rows per group. Later queries on the
 // same plan group — from any batch — skip straight to their value passes.
-// A shard executor's plans cover only its shard's rows; the row list is
-// pre-split into morsel segments, the unit every downstream scan walks.
+// The row list is pre-split into morsel segments, the unit every downstream
+// scan walks.
 func (e *Executor) plan(keys []string, preds []Predicate) (*planEntry, error) {
 	gi, err := e.groupIndex(keys)
 	if err != nil {
@@ -863,14 +829,9 @@ func (e *Executor) plan(keys []string, preds []Predicate) (*planEntry, error) {
 		ent.keys = append([]string(nil), keys...)
 		ent.me = me
 		ent.nrows = e.core.t.NumRows()
-		switch {
-		case me != nil && e.sharded:
-			ent.rows = shardMaskRows(e.shardRows, me.bits)
-		case me != nil:
+		if me != nil {
 			ent.rows = me.rows
-		case e.sharded:
-			ent.rows = e.shardRows
-		default:
+		} else {
 			ent.rows = e.core.rowIdentity()
 		}
 		ent.segs = morselSegments(ent.rows, e.core.morselRows)
@@ -996,8 +957,6 @@ func (e *Executor) executeCore(q Query) (execResult, error) {
 	if len(q.Keys) == 0 {
 		return execResult{}, fmt.Errorf("query: execute with no group-by keys")
 	}
-	// Plan rows index the physical scan table (the parent, for shard
-	// executors), so the aggregation column must come from it too.
 	aggCol := e.core.t.Column(q.AggAttr)
 	if aggCol == nil {
 		return execResult{}, fmt.Errorf("query: no aggregation column %q", q.AggAttr)

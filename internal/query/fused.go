@@ -278,8 +278,6 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 	for _, pair := range g.order {
 		as, ok := attrs[pair.attr]
 		if !ok {
-			// Plan rows index the physical scan table (the parent, for shard
-			// executors), so attribute columns must come from it.
 			col := e.core.t.Column(pair.attr)
 			as = &attrScan{
 				useString: col.Kind() == dataframe.KindString,

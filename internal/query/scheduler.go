@@ -3,17 +3,16 @@ package query
 // The scan scheduler: cross-executor sharing of table-scan state. PRs 3/5
 // fused scans *within* one executor; every executor still owned its group
 // indexes, predicate bitmaps, WHERE masks, float views and domain probes
-// privately, so k executors over shards of one physical table ran k identical
-// full-table passes. This file hoists that state into a tableCore — the
-// scan-side cache of ONE physical table — and a ScanScheduler that hands
-// executors a shared core keyed by the table's identity fingerprint (the
-// JoinCache pattern, applied to the relevant-table side).
+// privately, so k executors over one table ran k identical full-table
+// passes. This file hoists that state into a tableCore — the scan-side cache
+// of ONE table — and a ScanScheduler that hands executors a shared core keyed
+// by the table's identity fingerprint (the JoinCache pattern, applied to the
+// relevant-table side).
 //
-// An executor over a shard (a table built by dataframe.Shard) scans its
-// PARENT table through the parent's shared core, restricted to its shard's
-// rows: group indexes, bitmaps, views and domains are built once per parent
-// across all of its shards' executors, and each executor's plan groups
-// subscribe to those passes instead of re-running them. The new
+// An executor built WithScanScheduler takes the scheduler's core for its
+// table; without one it owns a private core. The serving layer routes every
+// bound executor through the process scheduler, so a plan's executors and
+// its appends (Append / AppendStats) meet at one epoch fence. The
 // ExecutorStats counters make the sharing observable: SharedScanPasses counts
 // full-table passes this executor ran to build a core entry, and
 // SharedScanSubscribers counts cache hits on entries another executor built.
@@ -26,9 +25,8 @@ import (
 	"repro/internal/dataframe"
 )
 
-// tableCore is the shared scan-side state of one physical table: every cache
-// whose contents depend only on the table (not on the executor or its shard)
-// lives here. Executors over the same core share entries; entries record the
+// tableCore is the scan-side state of one table: every cache whose contents
+// depend only on the table (not on the executor) lives here. Executors over the same core share entries; entries record the
 // executor that created them so subscribers can be counted. All maps are
 // guarded by mu; the entries themselves synchronise through their once.
 type tableCore struct {
@@ -119,15 +117,11 @@ func (c *tableCore) rowIdentity() []int {
 const maxCoreEntries = 64
 
 // ScanScheduler shares tableCores across executors, keyed by table identity
-// fingerprint: two executors whose (parent) tables are the same physical table
-// get the same core and therefore share every table pass. MorselRows sets the
-// morsel size of cores built by this scheduler; 0 means
-// dataframe.DefaultMorselRows. All methods are safe for concurrent use.
-//
-// Executors over shard tables (dataframe.Shard) default to the process-level
-// scheduler, so cmd/feataug's :split= scenarios and ShardedTable routers share
-// scans with no configuration; executors over ordinary tables keep a private
-// core unless WithScanScheduler opts them in.
+// fingerprint: two executors over the same table get the same core and
+// therefore share every table pass. MorselRows sets the morsel size of cores
+// built by this scheduler; 0 means dataframe.DefaultMorselRows. All methods
+// are safe for concurrent use. Executors take a scheduler's core only when
+// built WithScanScheduler.
 type ScanScheduler struct {
 	MorselRows int
 
@@ -140,11 +134,11 @@ func NewScanScheduler() *ScanScheduler {
 	return &ScanScheduler{cores: map[uint64]*tableCore{}}
 }
 
-// processScheduler is the process-level default shard executors adopt.
+// processScheduler is the process-level scheduler.
 var processScheduler = NewScanScheduler()
 
-// ProcessScanScheduler returns the process-level scheduler that executors over
-// shard tables default to.
+// ProcessScanScheduler returns the process-level scheduler, for callers that
+// want every executor over a table in the process to share one core.
 func ProcessScanScheduler() *ScanScheduler { return processScheduler }
 
 // coreFor returns the scheduler's shared core for t, building it on first use.
@@ -202,8 +196,8 @@ func (s *ScanScheduler) Len() int {
 
 // WithScanScheduler makes the executor take its scan-side caches from the
 // given scheduler's shared core instead of a private one, so executors over
-// the same physical table (or shards of it) share group indexes, predicate
-// bitmaps, masks, float views and domain probes. nil is ignored.
+// the same table share group indexes, predicate bitmaps, masks, float views
+// and domain probes. nil is ignored.
 func WithScanScheduler(s *ScanScheduler) ExecutorOption {
 	return func(e *Executor) {
 		if s != nil {

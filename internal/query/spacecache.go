@@ -19,8 +19,23 @@ type SpaceCache struct {
 	opts SpaceOptions
 
 	mu     sync.Mutex
-	dims   map[string]predDim
-	spaces map[string]*Space
+	dims   map[string]*dimEntry
+	spaces map[string]*spaceEntry
+}
+
+// spaceEntry and dimEntry are placeholders stored under mu on first lookup
+// and filled once, so concurrent callers for one key share a single build
+// and all see the same value (the JoinCache.trainIndex pattern).
+type spaceEntry struct {
+	once sync.Once
+	s    *Space
+	err  error
+}
+
+type dimEntry struct {
+	once sync.Once
+	pd   predDim
+	err  error
 }
 
 // NewSpaceCache builds a cache over one relevant table with fixed
@@ -29,8 +44,8 @@ func NewSpaceCache(r *dataframe.Table, opts SpaceOptions) *SpaceCache {
 	return &SpaceCache{
 		r:      r,
 		opts:   opts.normalized(),
-		dims:   map[string]predDim{},
-		spaces: map[string]*Space{},
+		dims:   map[string]*dimEntry{},
+		spaces: map[string]*spaceEntry{},
 	}
 }
 
@@ -39,39 +54,31 @@ func NewSpaceCache(r *dataframe.Table, opts SpaceOptions) *SpaceCache {
 func (c *SpaceCache) Space(t Template) (*Space, error) {
 	key := templateKey(t)
 	c.mu.Lock()
-	if s, ok := c.spaces[key]; ok {
-		c.mu.Unlock()
-		return s, nil
+	ent, ok := c.spaces[key]
+	if !ok {
+		ent = &spaceEntry{}
+		c.spaces[key] = ent
 	}
 	c.mu.Unlock()
-
-	s, err := assembleSpace(c.r, t, c.predDim)
-	if err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	c.spaces[key] = s
-	c.mu.Unlock()
-	return s, nil
+	ent.once.Do(func() {
+		ent.s, ent.err = assembleSpace(c.r, t, c.predDim)
+	})
+	return ent.s, ent.err
 }
 
 // predDim returns the cached value domain of one predicate attribute.
 func (c *SpaceCache) predDim(attr string) (predDim, error) {
 	c.mu.Lock()
-	pd, ok := c.dims[attr]
-	c.mu.Unlock()
-	if ok {
-		return pd, nil
+	ent, ok := c.dims[attr]
+	if !ok {
+		ent = &dimEntry{}
+		c.dims[attr] = ent
 	}
-	pd, err := buildPredDim(c.r, attr, c.opts)
-	if err != nil {
-		return predDim{}, err
-	}
-	c.mu.Lock()
-	c.dims[attr] = pd
 	c.mu.Unlock()
-	return pd, nil
+	ent.once.Do(func() {
+		ent.pd, ent.err = buildPredDim(c.r, attr, c.opts)
+	})
+	return ent.pd, ent.err
 }
 
 // templateKey is an exact identity for a template's space layout: every
