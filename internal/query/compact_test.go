@@ -231,23 +231,24 @@ func TestCompactStatsGolden(t *testing.T) {
 			sto.CodePredScans, sto.SwarPredScans)
 	}
 
-	// Single-query COUNT through the core path: served from the plan's group
-	// counts (CountOnlyQueries), and identical to the knob executor's result.
+	// Single-query COUNT: served from the plan's group counts
+	// (CountOnlyQueries) with or without the knob, and identical to the
+	// Query.Execute oracle.
 	cq := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"},
 		Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "c"}}}
-	got, err := e.Execute(cq, "feature")
+	want, err := cq.Execute(compacted(t, largeRandomTable(300, 91)), "feature")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Stats().CountOnlyQueries; n != 1 {
-		t.Errorf("CountOnlyQueries = %d, want 1", n)
+	for _, ex := range []*Executor{e, off} {
+		before := ex.Stats().CountOnlyQueries
+		got, err := ex.Execute(cq, "feature")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ex.Stats().CountOnlyQueries - before; n != 1 {
+			t.Errorf("DisableCompactStrings=%v: CountOnlyQueries rose by %d, want 1", ex.DisableCompactStrings, n)
+		}
+		sameTable(t, cq.SQL("r"), got, want)
 	}
-	want, err := off.Execute(cq, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := off.Stats().CountOnlyQueries; n != 0 {
-		t.Errorf("knob executor CountOnlyQueries = %d, want 0", n)
-	}
-	sameTable(t, cq.SQL("r"), got, want)
 }

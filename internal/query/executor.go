@@ -3,14 +3,12 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
-	"repro/internal/agg"
 	"repro/internal/dataframe"
 	"repro/internal/par"
 )
@@ -40,11 +38,13 @@ import (
 // table. Scans walk the table morsel by morsel (dataframe.MorselBounds),
 // observing cancellation at every boundary.
 //
-// On top of the caches, the batch entry points (ExecuteBatch, AugmentBatch,
-// AugmentValuesBatch) run fused: the batch is grouped by plan group and each
-// group's aggregates stream through shared scans instead of one two-pass scan
-// per query (see fused.go). All methods are safe for concurrent use; batches
-// evaluate on a bounded worker pool.
+// On top of the caches, every entry point runs one fused path (see fused.go):
+// the queries are grouped by plan group and each group's aggregates stream
+// through shared scans. The single-query entry points (Execute, Augment,
+// AugmentValues) run as batches of one. They read a plan group's retained
+// aggregate state but never write it; only the batch entry points retain
+// state. All methods are safe for concurrent use; batches evaluate on a
+// bounded worker pool.
 type Executor struct {
 	r             *dataframe.Table
 	core          *tableCore     // scan-side caches of the table (core.t == r)
@@ -52,15 +52,6 @@ type Executor struct {
 	optMorselRows int            // WithMorselRows, private cores only
 	// Parallelism bounds the batch worker pool; 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableFusion forces the batch entry points through the per-query core
-	// instead of the fused shared-scan path. The differential tests and the
-	// fused-vs-legacy benchmarks flip it; production callers leave it false.
-	DisableFusion bool
-	// DisableScatterFusion keeps the fused execute path but forces
-	// AugmentValuesBatch through the per-query scatter (the PR 3 behaviour:
-	// one O(rows(D)) pass and one dgToLocal mapping per query instead of per
-	// plan group). Differential tests and the scatter benchmarks flip it.
-	DisableScatterFusion bool
 	// DisableCountingSort forces the fused per-group sort through the generic
 	// comparison sort even when the aggregation attribute has a cached
 	// low-cardinality domain. Differential tests and benchmarks flip it.
@@ -81,9 +72,8 @@ type Executor struct {
 	// core, so flipping it on one executor degrades (never corrupts) its
 	// core-sharing siblings; it is a test/bench knob, not a production mode.
 	DisableDeltaMaintenance bool
-	// DisableCompactStrings forces the word-parallel (SWAR) code kernels and
-	// the count-only fast path off: predicate bitmaps fall back to the PR 8
-	// scalar per-code loops and COUNT queries re-run their value pass. It does
+	// DisableCompactStrings forces the word-parallel (SWAR) code kernels off:
+	// predicate bitmaps fall back to the scalar per-code loops. It does
 	// not change storage — compact tables stay compact; both kernel families
 	// read the same code arrays — so the knob gives a clean like-for-like A/B.
 	// Results are bit-identical either way (the differential tests sweep it).
@@ -118,14 +108,14 @@ type ExecutorStats struct {
 	// executor triggered.
 	SharedJoinHits, SharedJoinMisses int64
 	SharedJoinEvictions              int64
-	FusedScans                       int64 // shared scans run by the fused batch path
+	FusedScans                       int64 // shared scans run by the fused path
 	FusedQueries                     int64 // queries answered through a fused plan group
-	CoreQueries                      int64 // queries answered by the per-query core
+	CoreQueries                      int64 // calls to the single-query entry points
 	// Train-side scatter: full passes over the training table's rows vs
 	// feature columns served by them. The fused scatter runs one pass per
 	// (plan group, training table) writing every column of the group in the
 	// same loop, so ScatterQueries / ScatterPasses is the sharing factor
-	// (1.0 = the per-query path).
+	// (1.0 = no sharing, as in a single-query call).
 	ScatterPasses, ScatterQueries int64
 	CountingScans                 int64 // fused sorts served by the counting path
 	// Dictionary encoding (see dict.go): DictEncodes counts first-use
@@ -138,9 +128,9 @@ type ExecutorStats struct {
 	// Word-parallel kernels (PR 10, see swar.go): SwarPredScans counts
 	// predicate bitmaps built 8×uint8 / 4×uint16 codes per 64-bit word (a
 	// subset of CodePredScans — wide columns and DisableCompactStrings fall
-	// back to the scalar code loops), and CountOnlyQueries counts per-query
-	// COUNT aggregates served straight from the plan's popcount-derived group
-	// counts with no value pass at all.
+	// back to the scalar code loops), and CountOnlyQueries counts COUNT
+	// queries served straight from the plan's popcount-derived group counts
+	// with no value pass at all.
 	SwarPredScans    int64
 	CountOnlyQueries int64
 	// Cross-executor scan sharing (ScanScheduler): full-table passes this
@@ -208,7 +198,7 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries over %d scans (%d counting), core %d queries (%d count-only), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds, %d swar), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries over %d scans (%d counting), single %d calls (%d count-only), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds, %d swar), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
 		s.SharedJoinHits, s.SharedJoinMisses,
@@ -349,24 +339,18 @@ func NewExecutor(r *dataframe.Table, opts ...ExecutorOption) *Executor {
 // Table returns the relevant table the executor is bound to.
 func (e *Executor) Table() *dataframe.Table { return e.r }
 
-// boundedGet returns m's entry for k, creating it with mk on a miss and
-// dropping the whole map first when the bound is hit. Caller must hold e.mu.
-func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, hits, misses, evictions *int64, mk func() *V) *V {
-	if *m == nil {
-		*m = map[K]*V{}
-	}
-	if ent, ok := (*m)[k]; ok {
+// countLookup records the outcome of one bounded-map lookup (coreGet's hit
+// and evicted results) into the given hit/miss counters and Evictions.
+// Caller must hold e.mu.
+func (e *Executor) countLookup(hit, evicted bool, hits, misses *int64) {
+	if hit {
 		*hits++
-		return ent
+	} else {
+		*misses++
 	}
-	*misses++
-	if len(*m) >= max {
-		*m = make(map[K]*V, max/4)
-		*evictions++
+	if evicted {
+		e.stats.Evictions++
 	}
-	ent := mk()
-	(*m)[k] = ent
-	return ent
 }
 
 // noteShared records the outcome of one shared-core cache lookup: hits count
@@ -376,19 +360,12 @@ func boundedGet[K comparable, V any](m *map[K]*V, k K, max int, hits, misses, ev
 // a mask intersection), as SharedScanPasses.
 func (e *Executor) noteShared(hit, evicted bool, owner *Executor, hits, misses *int64, pass bool) {
 	e.mu.Lock()
-	if hit {
-		*hits++
-		if owner != e {
-			e.stats.SharedScanSubscribers++
-		}
-	} else {
-		*misses++
-		if pass {
-			e.stats.SharedScanPasses++
-		}
+	e.countLookup(hit, evicted, hits, misses)
+	if hit && owner != e {
+		e.stats.SharedScanSubscribers++
 	}
-	if evicted {
-		e.stats.Evictions++
+	if !hit && pass {
+		e.stats.SharedScanPasses++
 	}
 	e.mu.Unlock()
 }
@@ -736,11 +713,11 @@ func maskSigWith(preds []Predicate, key func(Predicate) string) string {
 
 // whereEntry returns the cached combined mask of a predicate list — bitmap
 // plus matching-row indices — building it from the per-predicate bitmaps on
-// first use. A predicate-free query returns (sig "", nil, nil): all rows.
-func (e *Executor) whereEntry(preds []Predicate) (string, *maskEntry, error) {
-	sig := e.maskSig(preds)
+// first use. sig is the list's maskSig, computed once by the caller. A
+// predicate-free query (sig "") returns (nil, nil): all rows.
+func (e *Executor) whereEntry(preds []Predicate, sig string) (*maskEntry, error) {
 	if sig == "" {
-		return "", nil, nil
+		return nil, nil
 	}
 	c := e.core
 	c.mu.Lock()
@@ -771,7 +748,7 @@ func (e *Executor) whereEntry(preds []Predicate) (string, *maskEntry, error) {
 		ent.rows = matchedRows(mask)
 		ent.nrows = e.core.t.NumRows()
 	})
-	return sig, ent, ent.err
+	return ent, ent.err
 }
 
 // matchedRows materialises the row indices a bitmap selects, in ascending
@@ -809,20 +786,19 @@ func (e *Executor) countScan() {
 // output order), with total matching rows per group. Later queries on the
 // same plan group — from any batch — skip straight to their value passes.
 // The row list is pre-split into morsel segments, the unit every downstream
-// scan walks.
-func (e *Executor) plan(keys []string, preds []Predicate) (*planEntry, error) {
+// scan walks. pk.sig is preds' maskSig.
+func (e *Executor) plan(pk planKey, keys []string, preds []Predicate) (*planEntry, error) {
 	gi, err := e.groupIndex(keys)
 	if err != nil {
 		return nil, err
 	}
-	sig, me, err := e.whereEntry(preds)
+	me, err := e.whereEntry(preds, pk.sig)
 	if err != nil {
 		return nil, err
 	}
-	pk := planKey{keys: strings.Join(keys, "\x1f"), sig: sig}
 	e.mu.Lock()
-	ent := boundedGet(&e.plans, pk, maxPlanEntries, &e.stats.PlanHits, &e.stats.PlanMisses, &e.stats.Evictions,
-		func() *planEntry { return &planEntry{} })
+	ent, hit, evicted := coreGet(&e.plans, pk, maxPlanEntries, func() *planEntry { return &planEntry{} })
+	e.countLookup(hit, evicted, &e.stats.PlanHits, &e.stats.PlanMisses)
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		ent.gi = gi
@@ -858,16 +834,6 @@ func (e *Executor) plan(keys []string, preds []Predicate) (*planEntry, error) {
 	return ent, ent.err
 }
 
-// coreScratch holds the per-query integer/float work buffers of the
-// per-query core, recycled through a pool so the hot loop allocates only its
-// returned result slices.
-type coreScratch struct {
-	offs, fill []int
-	fbuf       []float64
-}
-
-var corePool = sync.Pool{New: func() interface{} { return &coreScratch{} }}
-
 // grabInts returns a zeroed length-n int slice backed by *buf, growing it as
 // needed.
 func grabInts(buf *[]int, n int) []int {
@@ -880,21 +846,11 @@ func grabInts(buf *[]int, n int) []int {
 	return s
 }
 
-// grabFloats returns a length-n float slice backed by *buf; contents are
-// unspecified (callers overwrite every slot).
-func grabFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-		return *buf
-	}
-	return (*buf)[:n]
-}
-
 // execResult is the group-level outcome of one query: the representative
 // source row, aggregate value and validity per non-empty group, in first-seen
 // order over the matching rows, plus the group index the query ran under.
-// Batch paths may also carry the plan group's shared key columns. Slices can
-// be shared across the queries of one plan group; they are read-only.
+// It may also carry the plan group's shared key columns. Slices can be shared
+// across the queries of one plan group; they are read-only.
 type execResult struct {
 	gi      *dataframe.GroupIndex
 	repr    []int
@@ -905,24 +861,29 @@ type execResult struct {
 
 // Execute evaluates one query against the executor's table, producing the
 // same result table as Query.Execute — one row per non-empty group, in
-// first-seen order over the matching rows — but through the shared caches.
+// first-seen order over the matching rows — but through the shared caches,
+// as a fused batch of one.
 func (e *Executor) Execute(q Query, featureName string) (*dataframe.Table, error) {
 	defer e.beginScan()()
-	er, err := e.executeCore(q)
+	e.noteSingle()
+	ers, err := e.executeGrouped(context.Background(), []Query{q}, nil, true, false)
 	if err != nil {
 		return nil, err
 	}
-	return resultTable(er, featureName)
+	return resultTable(ers[0], featureName)
+}
+
+// noteSingle counts one call to a single-query entry point.
+func (e *Executor) noteSingle() {
+	e.mu.Lock()
+	e.stats.CoreQueries++
+	e.mu.Unlock()
 }
 
 // resultTable materialises an execution result as a (keys..., feature) table.
 func resultTable(er execResult, featureName string) (*dataframe.Table, error) {
 	out := dataframe.MustNewTable()
-	keyCols := er.keyCols
-	if keyCols == nil {
-		keyCols = takeKeyCols(er.gi, er.repr)
-	}
-	for _, kc := range keyCols {
+	for _, kc := range er.keyCols {
 		if err := out.AddColumn(kc); err != nil {
 			return nil, err
 		}
@@ -944,110 +905,6 @@ func takeKeyCols(gi *dataframe.GroupIndex, repr []int) []*dataframe.Column {
 		cols = append(cols, kc.Take(repr))
 	}
 	return cols
-}
-
-// executeCore runs the masked, index-backed aggregation shared by the
-// single-query entry points Execute (which materialises a result table) and
-// AugmentValues (which maps the group values straight onto the training
-// rows). Group discovery comes from the shared plan cache; the two value
-// passes (non-null counts, then a flat buffer partitioned by group) run
-// per query over pooled scratch. The fused batch path in fused.go replaces
-// those per-query passes with shared streaming scans.
-func (e *Executor) executeCore(q Query) (execResult, error) {
-	if len(q.Keys) == 0 {
-		return execResult{}, fmt.Errorf("query: execute with no group-by keys")
-	}
-	aggCol := e.core.t.Column(q.AggAttr)
-	if aggCol == nil {
-		return execResult{}, fmt.Errorf("query: no aggregation column %q", q.AggAttr)
-	}
-	pe, err := e.plan(q.Keys, q.Preds)
-	if err != nil {
-		return execResult{}, err
-	}
-	e.mu.Lock()
-	e.stats.CoreQueries++
-	e.mu.Unlock()
-
-	ngroups := len(pe.repr)
-	useString := aggCol.Kind() == dataframe.KindString
-	allNull := useString && !q.Agg.SupportsStrings()
-	vals := make([]float64, ngroups)
-	valid := make([]bool, ngroups)
-	if !allNull && ngroups > 0 && q.Agg == agg.Count && !e.DisableCompactStrings {
-		// COUNT depends only on the plan's popcount-derived per-group row
-		// counts — serve it with no value pass at all, exactly as the fused
-		// batch path does (the differential tests pin fused ≡ core).
-		for li, n := range pe.counts {
-			vals[li], valid[li] = float64(n), true
-		}
-		e.mu.Lock()
-		e.stats.CountOnlyQueries++
-		e.mu.Unlock()
-		return execResult{gi: pe.gi, repr: pe.repr, vals: vals, valid: valid}, nil
-	}
-	if !allNull && ngroups > 0 {
-		sc := corePool.Get().(*coreScratch)
-		local, rowGID := pe.local, pe.gi.RowGroups()
-		colValid := aggCol.ValidData()
-
-		// One value pass: fill a flat buffer partitioned by group, with
-		// offsets prefix-summed from the plan's cached total row counts (an
-		// upper bound on the non-null counts, so no counting pre-pass is
-		// needed). Values land in row order within each group, exactly as
-		// Query.Execute collects them, and the value read is kind-specialised
-		// through the column's bulk accessors instead of per-row AsFloat
-		// calls.
-		offs := grabInts(&sc.offs, ngroups+1)
-		for li, n := range pe.counts {
-			offs[li+1] = offs[li] + n
-		}
-		fill := grabInts(&sc.fill, ngroups)
-		copy(fill, offs[:ngroups])
-		var sbuf []string
-		var fbuf []float64
-		if useString {
-			sbuf = make([]string, offs[ngroups])
-			if strs := aggCol.StrData(); strs != nil {
-				for _, i := range pe.rows {
-					if colValid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = strs[i]
-						fill[li]++
-					}
-				}
-			} else {
-				// Compact column: decode per row through the dictionary.
-				for _, i := range pe.rows {
-					if colValid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = aggCol.Str(i)
-						fill[li]++
-					}
-				}
-			}
-		} else {
-			fbuf = grabFloats(&sc.fbuf, offs[ngroups])
-			fvals := e.floatView(aggCol)
-			for _, i := range pe.rows {
-				if colValid[i] {
-					li := local[rowGID[i]] - 1
-					fbuf[fill[li]] = fvals[i]
-					fill[li]++
-				}
-			}
-		}
-		for li := 0; li < ngroups; li++ {
-			if useString {
-				vals[li], valid[li] = q.Agg.StringApply(sbuf[offs[li]:fill[li]], pe.counts[li])
-			} else {
-				vals[li], valid[li] = q.Agg.Apply(fbuf[offs[li]:fill[li]], pe.counts[li])
-			}
-		}
-		corePool.Put(sc)
-	}
-
-	return execResult{gi: pe.gi, repr: pe.repr, vals: vals, valid: valid}, nil
 }
 
 // joinEntry caches the training-table side of Augment's join for one
@@ -1076,8 +933,8 @@ type joinKey struct {
 func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, error) {
 	k := joinKey{d: d, keys: strings.Join(keys, "\x1f")}
 	e.mu.Lock()
-	ent := boundedGet(&e.joins, k, maxJoinEntries, &e.stats.JoinHits, &e.stats.JoinMisses, &e.stats.Evictions,
-		func() *joinEntry { return &joinEntry{} })
+	ent, hit, evicted := coreGet(&e.joins, k, maxJoinEntries, func() *joinEntry { return &joinEntry{} })
+	e.countLookup(hit, evicted, &e.stats.JoinHits, &e.stats.JoinMisses)
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		idx, hit, evicted, err := e.joinCache.trainIndex(d, keys)
@@ -1126,25 +983,25 @@ func (e *Executor) joinIndex(d *dataframe.Table, keys []string) (*joinEntry, err
 // d's rows (NULL on join miss, vals zeroed at NULL positions — the same
 // convention Column.Floats yields), without materialising the joined table.
 // This is the search loop's hot path: evaluators want the raw slices, not a
-// Table.
+// Table. It runs as a fused batch of one into a one-column FeatureMatrix.
 func (e *Executor) AugmentValues(d *dataframe.Table, q Query) ([]float64, []bool, error) {
-	for _, k := range q.Keys {
-		if !d.HasColumn(k) {
-			return nil, nil, fmt.Errorf("query: training table has no join key %q", k)
-		}
+	qs := []Query{q}
+	if err := validateJoinKeys(d, qs); err != nil {
+		return nil, nil, err
 	}
 	defer e.beginScan()()
-	er, err := e.executeCore(q)
+	e.noteSingle()
+	m, err := e.augmentMatrixCore(context.Background(), d, qs, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.scatter(d, q, er)
+	vals, valid := m.Col(0)
+	return vals, valid, nil
 }
 
-// scatterScratch holds the per-scatter train-group mapping (and, for the
-// fused path, the per-row local map), recycled through a pool so neither the
-// per-query fallback nor the fused per-group scatter allocates O(train
-// groups) or O(rows(D)) scratch per use.
+// scatterScratch holds the per-plan-group train-group mapping and per-row
+// local map of the scatter, recycled through a pool so it allocates neither
+// O(train groups) nor O(rows(D)) scratch per use.
 type scatterScratch struct {
 	dgToLocal []int
 	rowLocal  []int32
@@ -1161,43 +1018,6 @@ func grabInts32(buf *[]int32, n int) []int32 {
 }
 
 var scatterPool = sync.Pool{New: func() interface{} { return &scatterScratch{} }}
-
-// scatter maps a query's group values onto d's rows: result group -> train
-// group (via the cached join mapping), then train group -> row values. This
-// is the per-query path (legacy / DisableScatterFusion); batches go through
-// the plan-group-shared scatter in scatter.go.
-func (e *Executor) scatter(d *dataframe.Table, q Query, er execResult) ([]float64, []bool, error) {
-	jn, err := e.joinIndex(d, q.Keys)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := d.NumRows()
-	vals := make([]float64, n)
-	valid := make([]bool, n)
-	sc := scatterPool.Get().(*scatterScratch)
-	dgToLocal := grabInts(&sc.dgToLocal, jn.idx.NumGroups()) // train gid -> local index + 1
-	for li, r := range er.repr {
-		if dg := jn.rToD[er.gi.GroupOf(r)]; dg >= 0 {
-			dgToLocal[dg] = li + 1
-		}
-	}
-	dRowGID := jn.idx.RowGroups()
-	for row := 0; row < n; row++ {
-		if li := dgToLocal[dRowGID[row]]; li > 0 {
-			v := er.vals[li-1]
-			// NaN aggregates are NULL, matching NewFloatColumn + Floats.
-			if er.valid[li-1] && !math.IsNaN(v) {
-				vals[row], valid[row] = v, true
-			}
-		}
-	}
-	scatterPool.Put(sc)
-	e.mu.Lock()
-	e.stats.ScatterPasses++
-	e.stats.ScatterQueries++
-	e.mu.Unlock()
-	return vals, valid, nil
-}
 
 // Augment executes the query through the caches and left-joins the feature
 // onto the training table d, mirroring Query.Augment: every d row appears
@@ -1247,7 +1067,7 @@ func (e *Executor) ExecuteBatch(qs []Query, featureName string) ([]*dataframe.Ta
 // returned, so a long batch aborts after at most the in-flight scans.
 func (e *Executor) ExecuteBatchContext(ctx context.Context, qs []Query, featureName string) ([]*dataframe.Table, error) {
 	defer e.beginScan()()
-	ers, err := e.executeBatchCore(ctx, qs, true)
+	ers, err := e.executeGrouped(ctx, qs, nil, true, true)
 	if err != nil {
 		return nil, err
 	}
@@ -1288,11 +1108,10 @@ func (e *Executor) AugmentBatchContext(ctx context.Context, d *dataframe.Table, 
 
 // AugmentValuesBatch is AugmentValues over a slice of queries through the
 // fused path: per-query feature slices aligned with d's rows, in input order.
-// On the fused (default) path the returned slices are read-only views into
-// one flat batch buffer (a FeatureMatrix), so retaining any one of them
-// keeps the whole batch's buffer reachable; callers that keep a few columns
-// of a large batch long-term should copy them out. The DisableFusion /
-// DisableScatterFusion test modes return standalone per-query slices.
+// The returned slices are read-only views into one flat batch buffer (a
+// FeatureMatrix), so retaining any one of them keeps the whole batch's buffer
+// reachable; callers that keep a few columns of a large batch long-term
+// should copy them out.
 func (e *Executor) AugmentValuesBatch(d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
 	return e.AugmentValuesBatchContext(context.Background(), d, qs)
 }
@@ -1317,13 +1136,10 @@ func (e *Executor) AugmentValuesBatchContext(ctx context.Context, d *dataframe.T
 		return nil, nil, err
 	}
 	defer e.beginScan()()
-	if e.DisableFusion || e.DisableScatterFusion {
-		return e.scatterPerQuery(ctx, d, qs)
-	}
-	// The fused path lands every column in one flat matrix and returns
-	// per-query views into it — the same shared scatter as AugmentMatrix
-	// (keys were validated above).
-	m, err := e.augmentMatrixCore(ctx, d, qs)
+	// Every column lands in one flat matrix and the caller gets per-query
+	// views into it — the same shared scatter as AugmentMatrix (keys were
+	// validated above).
+	m, err := e.augmentMatrixCore(ctx, d, qs, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1331,31 +1147,6 @@ func (e *Executor) AugmentValuesBatchContext(ctx context.Context, d *dataframe.T
 	valid := make([][]bool, len(qs))
 	for i := range qs {
 		vals[i], valid[i] = m.Col(i)
-	}
-	return vals, valid, nil
-}
-
-// scatterPerQuery is the DisableFusion/DisableScatterFusion fallback shared
-// by the batch augment entry points: execute, then one scatter pass over d
-// per query on the worker pool, into standalone per-query slices — the PR 3
-// behaviour the differential tests and benchmarks compare against.
-func (e *Executor) scatterPerQuery(ctx context.Context, d *dataframe.Table, qs []Query) ([][]float64, [][]bool, error) {
-	ers, err := e.executeBatchCore(ctx, qs, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([][]float64, len(qs))
-	valid := make([][]bool, len(qs))
-	err = e.runBatch(ctx, len(qs), func(i int) error {
-		v, ok, err := e.scatter(d, qs[i], ers[i])
-		if err != nil {
-			return fmt.Errorf("%s: %w", qs[i].SQL("R"), err)
-		}
-		vals[i], valid[i] = v, ok
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	return vals, valid, nil
 }
@@ -1375,28 +1166,17 @@ func (e *Executor) AugmentMatrixContext(ctx context.Context, d *dataframe.Table,
 		return nil, err
 	}
 	defer e.beginScan()()
-	return e.augmentMatrixCore(ctx, d, qs)
+	return e.augmentMatrixCore(ctx, d, qs, true)
 }
 
-// augmentMatrixCore is AugmentMatrixContext after key validation.
-func (e *Executor) augmentMatrixCore(ctx context.Context, d *dataframe.Table, qs []Query) (*FeatureMatrix, error) {
+// augmentMatrixCore is AugmentMatrixContext after key validation; retain
+// says whether plan groups keep their aggregate state (see runPlanGroup).
+func (e *Executor) augmentMatrixCore(ctx context.Context, d *dataframe.Table, qs []Query, retain bool) (*FeatureMatrix, error) {
 	m := newFeatureMatrix(d.NumRows(), len(qs))
-	if e.DisableFusion || e.DisableScatterFusion {
-		vals, valid, err := e.scatterPerQuery(ctx, d, qs)
-		if err != nil {
-			return nil, err
-		}
-		for i := range qs {
-			mv, mok := m.Col(i)
-			copy(mv, vals[i])
-			copy(mok, valid[i])
-		}
-		return m, nil
-	}
 	// One plan-group partition serves both stages: shared scans, then the
 	// shared train-side scatter.
 	order := e.groupBatch(qs)
-	ers, err := e.executeGrouped(ctx, qs, order, false)
+	ers, err := e.executeGrouped(ctx, qs, order, false, retain)
 	if err != nil {
 		return nil, err
 	}

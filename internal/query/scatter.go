@@ -1,18 +1,15 @@
 package query
 
-// The fused train-side scatter. PR 3 fused the relevant-table side of batch
-// execution (shared scans per plan group) but left serving per-query: every
-// query of an AugmentValuesBatch paid its own O(rows(D)) walk over the
-// training table with a freshly allocated train-group mapping. This file
-// extends plan-group fusion across the train-side boundary: the batch is
-// grouped by the same (key-set, WHERE-mask signature) plan groups as the
-// execute path, and each group builds ONE dgToLocal mapping and runs ONE pass
-// over the training table that writes every query's feature column in the
-// same loop. Queries sharing a (plan group, agg pair) are served by one
-// column, matching the slice sharing of the fused execute path. Results are
-// bit-identical to the per-query scatter (the differential tests enforce it):
-// the per-group projection tables fold the NULL/NaN convention before the
-// pass, so the row loop is branch-free integer indexing.
+// The fused train-side scatter. Every augment entry point maps plan-group
+// values onto the training table here: the queries are grouped by the same
+// (key-set, WHERE-mask signature) plan groups as the execute path, and each
+// group builds ONE dgToLocal mapping and runs ONE pass over the training
+// table that writes every query's feature column in the same loop. Queries
+// sharing a (plan group, agg pair) are served by one column, matching the
+// slice sharing of the fused execute path; a single query is a group of one.
+// Results are bit-identical to Query.Augment (the differential tests enforce
+// it): the per-group projection tables fold the NULL/NaN convention before
+// the pass, so the row loop is branch-free integer indexing.
 
 import (
 	"context"
@@ -103,8 +100,9 @@ type scatterCol struct {
 
 // scatterBatch maps every query's group values onto d's rows through one
 // shared pass per plan group, reusing the batch partition the execute stage
-// grouped (order), and writes into m's columns. ers must come from the fused
-// execute path, so queries of one plan group share gi/repr. Each distinct
+// grouped (order), and writes into m's columns. ers must come from
+// executeGrouped over the same order, so queries of one plan group share
+// gi/repr. Each distinct
 // (plan group, agg pair) is scattered once, into its first query's column;
 // duplicate queries are filled by copy.
 func (e *Executor) scatterBatch(ctx context.Context, d *dataframe.Table, qs []Query, ers []execResult, order []*fusedGroup, m *FeatureMatrix) error {
@@ -136,8 +134,7 @@ func (e *Executor) scatterBatch(ctx context.Context, d *dataframe.Table, qs []Qu
 			c.proj = pslab[lo : lo+ngroups+1 : lo+ngroups+1]
 			for li := 0; li < ngroups; li++ {
 				v := per.vals[li]
-				// NaN aggregates are NULL, matching NewFloatColumn + Floats
-				// (and the per-query scatter).
+				// NaN aggregates are NULL, matching NewFloatColumn + Floats.
 				if per.valid[li] && !math.IsNaN(v) {
 					c.proj[li+1] = projSlot{v: v, ok: true}
 				}
@@ -147,8 +144,8 @@ func (e *Executor) scatterBatch(ctx context.Context, d *dataframe.Table, qs []Qu
 
 		// The shared pass over the training table: resolve each row's local
 		// group once — the random-access half of the scatter (row -> train
-		// group -> plan-group slot) that the per-query path repeats for every
-		// query — into a compact sequential map. The pass walks the training
+		// group -> plan-group slot) — into a compact sequential map that
+		// every column of the group reuses. The pass walks the training
 		// table morsel by morsel, observing the context at each boundary.
 		bounds := dataframe.MorselBounds(n, e.core.morselRows)
 		dRowGID := jn.idx.RowGroups()

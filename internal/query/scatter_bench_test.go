@@ -33,22 +33,6 @@ func BenchmarkServingScatterFused(b *testing.B) {
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkServingScatterPR3 is the same workload through the PR 3 scatter:
-// fused execute, then one O(rows(D)) pass and one freshly cleared mapping per
-// query (DisableScatterFusion).
-func BenchmarkServingScatterPR3(b *testing.B) {
-	r, d, qs := servingBenchPool(200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(r, WithJoinCache(NewJoinCache()))
-		ex.DisableScatterFusion = true
-		if _, _, err := ex.AugmentValuesBatch(d, qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
 // BenchmarkServingMatrixFused is the columnar bulk variant: the same fused
 // scatter, landing in one flat FeatureMatrix allocation.
 func BenchmarkServingMatrixFused(b *testing.B) {

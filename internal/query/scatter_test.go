@@ -50,9 +50,21 @@ func sameFeature(t *testing.T, label string, gotV, wantV []float64, gotOK, wantO
 	}
 }
 
+// oracleFeature is the reference oracle Query.Augment's feature column as
+// (values, validity) aligned with d's rows, NULL positions zeroed — the
+// convention every executor augment path returns.
+func oracleFeature(t *testing.T, d, r *dataframe.Table, q Query) ([]float64, []bool) {
+	t.Helper()
+	out, err := q.Augment(d, r, "oracle_feature")
+	if err != nil {
+		t.Fatalf("%s: %v", q.SQL("r"), err)
+	}
+	return out.Column("oracle_feature").Floats()
+}
+
 // TestDifferentialFusedScatter requires the plan-group-shared scatter to be
-// bit-identical to the per-query scatter (DisableScatterFusion) and to the
-// fully per-query AugmentValues, across mixed and NULL-heavy relevant tables,
+// bit-identical to the reference oracle Query.Augment and to the single-query
+// AugmentValues, across mixed and NULL-heavy relevant tables,
 // duplicate-key training rows, and batches containing empty plan groups
 // (masks matching no rows) and duplicate queries. The matrix variant must
 // agree column for column.
@@ -79,12 +91,6 @@ func TestDifferentialFusedScatter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			perQuery := NewExecutor(r)
-			perQuery.DisableScatterFusion = true
-			wantV, wantOK, err := perQuery.AugmentValuesBatch(d, qs)
-			if err != nil {
-				t.Fatal(err)
-			}
 			m, err := NewExecutor(r).AugmentMatrix(d, qs)
 			if err != nil {
 				t.Fatal(err)
@@ -94,9 +100,10 @@ func TestDifferentialFusedScatter(t *testing.T) {
 			}
 			single := NewExecutor(r)
 			for i, q := range qs {
-				sameFeature(t, q.SQL("r")+" fused-vs-perquery", gotV[i], wantV[i], gotOK[i], wantOK[i])
+				wantV, wantOK := oracleFeature(t, d, r, q)
+				sameFeature(t, q.SQL("r")+" fused-vs-oracle", gotV[i], wantV, gotOK[i], wantOK)
 				mv, mok := m.Col(i)
-				sameFeature(t, q.SQL("r")+" matrix", mv, wantV[i], mok, wantOK[i])
+				sameFeature(t, q.SQL("r")+" matrix", mv, wantV, mok, wantOK)
 				sv, sok, err := single.AugmentValues(d, q)
 				if err != nil {
 					t.Fatal(err)
@@ -111,9 +118,10 @@ func TestDifferentialFusedScatter(t *testing.T) {
 			if fs.ScatterPasses >= fs.ScatterQueries {
 				t.Fatalf("fused scatter did not share passes: %d passes for %d queries", fs.ScatterPasses, fs.ScatterQueries)
 			}
-			ps := perQuery.Stats()
-			if ps.ScatterPasses != int64(len(qs)) {
-				t.Fatalf("per-query scatter ran %d passes, want %d", ps.ScatterPasses, len(qs))
+			ss := single.Stats()
+			if ss.ScatterPasses != int64(len(qs)) || ss.CoreQueries != int64(len(qs)) {
+				t.Fatalf("single-query calls: %d scatter passes, %d calls, want %d each",
+					ss.ScatterPasses, ss.CoreQueries, len(qs))
 			}
 		})
 	}

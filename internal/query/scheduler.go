@@ -76,10 +76,11 @@ func newTableCore(t *dataframe.Table, morselRows int) *tableCore {
 }
 
 // coreGet returns m's entry for k, creating it with mk on a miss and dropping
-// the whole map first when the bound is hit (the executor-cache pattern;
-// in-flight holders keep their references). Caller must hold the core's mu.
-// hit reports whether the entry already existed; evicted whether this lookup
-// overflowed the bound.
+// the whole map first when the bound is hit (in-flight holders keep their
+// references). It is the one bounded-cache primitive: the core maps and the
+// executor's plan and join maps all go through it. Caller must hold the lock
+// guarding m. hit reports whether the entry already existed; evicted whether
+// this lookup overflowed the bound.
 func coreGet[K comparable, V any](m *map[K]*V, k K, max int, mk func() *V) (ent *V, hit, evicted bool) {
 	if *m == nil {
 		*m = map[K]*V{}
