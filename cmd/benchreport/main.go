@@ -57,45 +57,58 @@ type Report struct {
 }
 
 func main() {
-	out := flag.String("out", "", "write the JSON report to this file (default stdout)")
-	in := flag.String("in", "", "read benchmark text from this file (default stdin)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	r := io.Reader(os.Stdin)
+// run is the command body: it parses flags from args, reads benchmark text
+// from -in (or stdin), and writes the JSON report to -out (or stdout). It
+// returns the process exit code; errors, including input without a single
+// benchmark result line, print to stderr and return 1.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("out", "", "write the JSON report to this file (default stdout)")
+	in := fs.String("in", "", "read benchmark text from this file (default stdin)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchreport:", err)
+		return 1
+	}
+	r := stdin
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		r = f
 	}
 	rep, err := Parse(r)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	data = append(data, '\n')
 	if *out == "" {
-		os.Stdout.Write(data)
-		return
+		stdout.Write(data)
+		return 0
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchreport:", err)
-	os.Exit(1)
+	return 0
 }
 
 // Parse reads `go test -bench` output and collects every benchmark line.
 // Benchmarks are sorted by (package, name) so the report is deterministic
-// regardless of package test order.
+// regardless of package test order. Input without a single benchmark result
+// line is an error: it means the -bench pattern matched nothing, and an
+// empty report would silently stand in for a missing measurement.
 func Parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
 	sc := bufio.NewScanner(r)
@@ -123,6 +136,9 @@ func Parse(r io.Reader) (*Report, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if len(rep.Benchmarks) == 0 {
+		return nil, fmt.Errorf("no benchmark result lines in input (did the -bench pattern match nothing?)")
 	}
 	sort.Slice(rep.Benchmarks, func(i, j int) bool {
 		a, b := rep.Benchmarks[i], rep.Benchmarks[j]

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -70,5 +73,34 @@ func TestMemorySection(t *testing.T) {
 		if rep.Memory[i] != m {
 			t.Fatalf("memory[%d] = %+v, want %+v", i, rep.Memory[i], m)
 		}
+	}
+}
+
+// TestEmptyInputFails checks that input without a benchmark result line (a
+// -bench pattern that matched nothing) fails loudly instead of writing an
+// empty report.
+func TestEmptyInputFails(t *testing.T) {
+	noBench := "goos: linux\ngoarch: amd64\npkg: repro/internal/query\ntesting: warning: no tests to run\nPASS\nok  \trepro/internal/query\t0.012s\n"
+	if _, err := Parse(strings.NewReader(noBench)); err == nil {
+		t.Fatal("Parse accepted input without benchmark lines")
+	}
+	out := filepath.Join(t.TempDir(), "BENCH.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-out", out}, strings.NewReader(noBench), &stdout, &stderr); code == 0 {
+		t.Fatal("run exited 0 on input without benchmark lines")
+	}
+	if !strings.Contains(stderr.String(), "benchreport: no benchmark result lines") {
+		t.Errorf("stderr = %q, want the no-benchmark message", stderr.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a report file was written: %v", err)
+	}
+	// The same command succeeds on real benchmark output.
+	stderr.Reset()
+	if code := run([]string{"-out", out}, strings.NewReader(sample), &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d on valid input: %s", code, stderr.String())
+	}
+	if data, err := os.ReadFile(out); err != nil || !bytes.Contains(data, []byte("BenchmarkExecuteBatchFused")) {
+		t.Fatalf("report not written: %v %s", err, data)
 	}
 }

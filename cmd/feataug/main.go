@@ -33,20 +33,17 @@
 //
 //	feataug -fit tmall -rows 400 -seed 1 -plan-out plan.json -transform tmall -out batch.csv -v
 //
-// The -v executor-stats block also reports the dictionary-encoding counters
-// (PR 8): "dict: N encodes / M hits, K code-kernel predicates" — encode
-// passes paid to dictionary-encode string columns, lookups served from an
-// already-built encoding, and predicate bitmaps built through the branch-free
-// dictionary-code kernels (string equality as a single code compare, int/time
-// ranges as a code-interval test) instead of per-row value compares. The
-// encoded and unencoded paths are bit-identical; query.Executor's
-// DisableDictEncoding knob forces the unencoded fallbacks and is swept by the
-// differential tests.
+// The -v executor-stats block also reports the code-kernel counters: "codes:
+// K code-kernel predicates (S word-parallel)" — predicate bitmaps built
+// through the branch-free dictionary-code kernels (string equality as a
+// single code compare, int/time ranges as a code-interval test) instead of
+// per-row value compares, and how many of them ran 8 or 4 codes per 64-bit
+// word.
 //
-// -v also prints the relevant table's resident footprint (PR 10): total MB,
-// bytes/row and how many string columns run code-backed compact storage,
-// where the dictionary codes are the column — the []string backing is
-// dropped and per-row reads decode from the domain.
+// -v also prints the relevant table's resident footprint: total MB,
+// bytes/row and the number of string columns. Every string column is stored
+// as dictionary codes (no []string backing); per-row reads decode from the
+// domain.
 package main
 
 import (
@@ -579,27 +576,23 @@ func runTransform(ctx context.Context, planPath, spec string, fo fitOpts, shared
 	return augmented.WriteCSV(out)
 }
 
-// printTableMemory spells out the relevant table's resident footprint — the
-// -v observability line behind the compact-storage work (PR 10): total
-// bytes, bytes/row, and how many of the string columns are code-backed
-// (compact columns hold dictionary codes only; no []string survives).
+// printTableMemory spells out the relevant table's resident footprint on
+// the -v line: total bytes, bytes/row, and the number of string columns
+// (each held as dictionary codes only).
 func printTableMemory(stderr io.Writer, mode string, t *dataframe.Table) {
 	total, cols := t.MemBytes()
-	nStr, nCompact := 0, 0
+	nStr := 0
 	for _, c := range cols {
 		if c.Kind == dataframe.KindString {
 			nStr++
-			if c.Compact {
-				nCompact++
-			}
 		}
 	}
 	perRow := 0.0
 	if t.NumRows() > 0 {
 		perRow = float64(total) / float64(t.NumRows())
 	}
-	fmt.Fprintf(stderr, "%s: relevant table: %d rows, %.2f MB resident (%.1f bytes/row), %d/%d string columns compact\n",
-		mode, t.NumRows(), float64(total)/(1<<20), perRow, nCompact, nStr)
+	fmt.Fprintf(stderr, "%s: relevant table: %d rows, %.2f MB resident (%.1f bytes/row), %d string columns as dictionary codes\n",
+		mode, t.NumRows(), float64(total)/(1<<20), perRow, nStr)
 }
 
 // printFusionStats spells out an executor-stats snapshot's fusion counters —
@@ -621,11 +614,11 @@ func printFusionStats(stderr io.Writer, mode string, s repro.ExecutorStats) {
 	// and morsels walked in total.
 	fmt.Fprintf(stderr, "%s: shared scans: %d passes, %d subscribed, %d morsels scanned\n",
 		mode, s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned)
-	// The dictionary-encoding counters: encode passes this executor set paid,
-	// lookups served from an existing encoding, and predicate bitmaps built
-	// through the branch-free code kernels instead of value compares.
-	fmt.Fprintf(stderr, "%s: dict: %d encodes / %d hits, %d code-kernel predicates\n",
-		mode, s.DictEncodes, s.DictHits, s.CodePredScans)
+	// The code-kernel counters: predicate bitmaps built through the
+	// branch-free code kernels instead of value compares, and how many of
+	// them ran word-parallel.
+	fmt.Fprintf(stderr, "%s: codes: %d code-kernel predicates (%d word-parallel)\n",
+		mode, s.CodePredScans, s.SwarPredScans)
 	// The delta-maintenance counters: append epochs absorbed by advancing
 	// caches over the new rows only, delta rows those advances visited,
 	// sorted aggregate runs re-sorted in place, and advances that fell back

@@ -29,14 +29,13 @@
 //
 // The -data scenario must regenerate the same relevant table(s) the plan was
 // fitted against (same dataset, -rows, -logs, -seed), mirroring a production
-// serving process pointed at the feature store the plan was learned on. At
-// bind time the daemon eagerly dictionary-encodes the bound tables' string
-// columns, so the first request hits the branch-free code kernels instead of
-// paying the encode pass; GET /v1/stats surfaces the per-plan executor
-// counters (DictEncodes, DictHits, CodePredScans) alongside the scatter and
-// shared-scan ones. A
-// dataset:split=column scenario rebuilds the per-value sub-tables of the
-// relevant table and binds a MultiFeaturePlan across them.
+// serving process pointed at the feature store the plan was learned on.
+// String columns are dictionary codes from construction, so the first
+// request already hits the branch-free code kernels; GET /v1/stats surfaces
+// the per-plan executor counters (CodePredScans, SwarPredScans) alongside the
+// scatter and shared-scan ones. A dataset:split=column scenario rebuilds the
+// per-value sub-tables of the relevant table and binds a MultiFeaturePlan
+// across them.
 //
 // SIGTERM / SIGINT shut the daemon down gracefully: the listener stops, the
 // coalescer's pending micro-batches flush, in-flight requests drain, and the

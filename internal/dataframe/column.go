@@ -54,20 +54,12 @@ type Column struct {
 	kind   Kind
 	ints   []int64   // KindInt and KindTime (unix seconds)
 	floats []float64 // KindFloat
-	strs   []string  // KindString; nil in compact mode
 	bools  []bool    // KindBool
 	valid  []bool    // valid[i] == false means NULL
-	// dict lazily caches the dictionary encoding of a string column (see
-	// dict.go). A plain pointer, not a lock, so by-value copies (Rename)
-	// stay vet-clean and share the encoding.
-	dict *dictLazy
-	// compact marks a string column whose dictionary codes are the PRIMARY
-	// storage: strs is nil and every per-row read decodes domain[code] lazily
-	// (see strAt). Invariant while compact: dict.built && dict.enc != nil.
-	// Appends that would invalidate the encoding (mid-domain value, cap
-	// crossing) rematerialise strs first and drop the flag, preserving the
-	// PR 9 fallback semantics exactly.
-	compact bool
+	// dict is the storage of a KindString column (see dict.go): the domain,
+	// its sorted permutation and rank, and one code per row. There is no
+	// []string backing. By-value copies (Rename) share it.
+	dict *DictEncoding
 }
 
 // NewIntColumn builds an int column. A nil valid slice means all values are
@@ -87,9 +79,11 @@ func NewFloatColumn(name string, values []float64, valid []bool) *Column {
 	return &Column{name: name, kind: KindFloat, floats: values, valid: v}
 }
 
-// NewStringColumn builds a string column.
+// NewStringColumn builds a string column, dictionary-encoding values in one
+// pass. Values at NULL rows are ignored.
 func NewStringColumn(name string, values []string, valid []bool) *Column {
-	return &Column{name: name, kind: KindString, strs: values, valid: normValid(valid, len(values)), dict: &dictLazy{}}
+	v := normValid(valid, len(values))
+	return &Column{name: name, kind: KindString, valid: v, dict: encodeStrings(values, v)}
 }
 
 // NewTimeColumn builds a time column from unix-seconds timestamps.
@@ -165,9 +159,8 @@ func (c *Column) Float(i int) float64 {
 	return c.floats[i]
 }
 
-// Str returns the string value at row i. Valid for KindString. On a compact
-// column the value is decoded from the dictionary domain ("" at NULL rows,
-// matching the raw representation's placeholder).
+// Str returns the string value at row i, decoded from the dictionary domain
+// ("" at NULL rows). Valid for KindString.
 func (c *Column) Str(i int) string {
 	if c.kind != KindString {
 		panic("dataframe: Str on " + c.kind.String() + " column " + c.name)
@@ -175,17 +168,12 @@ func (c *Column) Str(i int) string {
 	return c.strAt(i)
 }
 
-// strAt is the kind-unchecked per-row string read: raw columns index strs,
-// compact columns decode domain[code].
+// strAt is the kind-unchecked per-row string read.
 func (c *Column) strAt(i int) string {
-	if !c.compact {
-		return c.strs[i]
-	}
 	if !c.valid[i] {
 		return ""
 	}
-	enc := c.dict.enc
-	return enc.values[enc.codes[i]]
+	return c.dict.values[c.dict.codes[i]]
 }
 
 // Bool returns the bool value at row i. Valid for KindBool.
@@ -288,10 +276,6 @@ func (c *Column) IntData() []int64 { return c.ints }
 // FloatData returns the backing float64 slice of a KindFloat column.
 func (c *Column) FloatData() []float64 { return c.floats }
 
-// StrData returns the backing string slice of a KindString column, or nil on
-// a compact column (no []string backing exists; read through Str/Dict codes).
-func (c *Column) StrData() []string { return c.strs }
-
 // BoolData returns the backing bool slice of a KindBool column.
 func (c *Column) BoolData() []bool { return c.bools }
 
@@ -299,61 +283,49 @@ func (c *Column) BoolData() []bool { return c.bools }
 // Present for every kind.
 func (c *Column) ValidData() []bool { return c.valid }
 
-// Take returns a new column containing the rows listed in idx, in order.
+// Take returns a new column containing the rows listed in idx, in order. A
+// taken string column shares the source's domain, which may then list values
+// absent from the taken rows.
 func (c *Column) Take(idx []int) *Column {
+	return c.take(idx)
+}
+
+// take is Take where a negative index yields a NULL row (the join's miss).
+func (c *Column) take(idx []int) *Column {
 	out := &Column{name: c.name, kind: c.kind, valid: make([]bool, len(idx))}
+	for j, i := range idx {
+		out.valid[j] = i >= 0 && c.valid[i]
+	}
 	switch c.kind {
 	case KindInt, KindTime:
 		out.ints = make([]int64, len(idx))
 		for j, i := range idx {
-			out.ints[j] = c.ints[i]
-			out.valid[j] = c.valid[i]
+			if i >= 0 {
+				out.ints[j] = c.ints[i]
+			}
 		}
 	case KindFloat:
 		out.floats = make([]float64, len(idx))
 		for j, i := range idx {
-			out.floats[j] = c.floats[i]
-			out.valid[j] = c.valid[i]
+			if i >= 0 {
+				out.floats[j] = c.floats[i]
+			}
 		}
 	case KindString:
-		if c.compact {
-			// Stay compact: take the codes, rebuild validity, share the
-			// domain (full-slice expression so a later in-place domain
-			// extension on either column reallocates instead of clobbering
-			// the sibling). The inherited domain may list values absent from
-			// the taken rows; presence-scanning consumers handle that.
-			src := c.dict.enc
-			nv := len(src.values)
-			enc := &DictEncoding{
-				values:    src.values[:nv:nv],
-				codes:     make([]uint32, len(idx)),
-				validBits: make([]uint64, (len(idx)+63)/64),
-			}
-			for j, i := range idx {
-				if c.valid[i] {
-					out.valid[j] = true
-					enc.codes[j] = src.codes[i]
-					enc.validBits[j>>6] |= 1 << uint(j&63)
-				} else {
-					enc.nulls++
-				}
-			}
-			enc.rebuildMirrors()
-			out.dict = newBuiltDict(enc)
-			out.compact = true
-			break
-		}
-		out.strs = make([]string, len(idx))
+		out.dict = c.dict.share(len(idx))
 		for j, i := range idx {
-			out.strs[j] = c.strs[i]
-			out.valid[j] = c.valid[i]
+			var code uint32
+			if out.valid[j] {
+				code = c.dict.codes[i]
+			}
+			out.dict.appendCode(code, out.valid[j])
 		}
-		out.dict = &dictLazy{}
 	case KindBool:
 		out.bools = make([]bool, len(idx))
 		for j, i := range idx {
-			out.bools[j] = c.bools[i]
-			out.valid[j] = c.valid[i]
+			if i >= 0 {
+				out.bools[j] = c.bools[i]
+			}
 		}
 	}
 	return out
@@ -380,89 +352,23 @@ func (c *Column) Floats() ([]float64, []bool) {
 	return out, valid
 }
 
-// ordinalCodes maps each string value to its rank in the sorted distinct
-// domain. NULLs get code -1.
+// ordinalCodes maps each string value to its rank among the column's
+// distinct non-null values in sorted order. NULLs get code -1.
 func (c *Column) ordinalCodes() []int {
-	if c.compact {
-		// The dictionary domain is already sorted; rank only the values
-		// present among the column's rows (an inherited domain may list
-		// absent values) so the result matches the raw-column scan exactly.
-		enc := c.dict.enc
-		rank := presenceRanks(enc, c.valid)
-		codes := make([]int, len(enc.codes))
-		for i := range codes {
-			if !c.valid[i] {
-				codes[i] = -1
-				continue
-			}
-			codes[i] = rank[enc.codes[i]]
-		}
-		return codes
-	}
-	domain := map[string]int{}
-	var keys []string
-	for i, s := range c.strs {
-		if !c.valid[i] {
-			continue
-		}
-		if _, ok := domain[s]; !ok {
-			domain[s] = 0
-			keys = append(keys, s)
-		}
-	}
-	sortStrings(keys)
-	for rank, k := range keys {
-		domain[k] = rank
-	}
-	codes := make([]int, len(c.strs))
-	for i, s := range c.strs {
+	rank := presenceRanks(c.dict, c.valid)
+	codes := make([]int, len(c.dict.codes))
+	for i, code := range c.dict.codes {
 		if !c.valid[i] {
 			codes[i] = -1
 			continue
 		}
-		codes[i] = domain[s]
+		codes[i] = rank[code]
 	}
 	return codes
 }
 
-// presenceRanks scans a column's codes once and assigns each PRESENT domain
-// code its rank among the present codes (domain order == sorted order), -1
-// for absent codes.
-func presenceRanks(enc *DictEncoding, valid []bool) []int {
-	rank := make([]int, len(enc.values))
-	for i := range rank {
-		rank[i] = -1
-	}
-	for i, code := range enc.codes {
-		if valid[i] {
-			rank[code] = 0
-		}
-	}
-	r := 0
-	for i, v := range rank {
-		if v == 0 {
-			rank[i] = r
-			r++
-		}
-	}
-	return rank
-}
-
-func sortStrings(s []string) {
-	// Insertion sort is fine for domains; avoid importing sort here to keep
-	// this file dependency-free, and domains are small in practice.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
 // AppendNull extends the column with one NULL row.
 func (c *Column) AppendNull() {
-	if c.kind == KindString {
-		c.extendDictNull()
-	}
 	c.valid = append(c.valid, false)
 	switch c.kind {
 	case KindInt, KindTime:
@@ -470,12 +376,19 @@ func (c *Column) AppendNull() {
 	case KindFloat:
 		c.floats = append(c.floats, 0)
 	case KindString:
-		if !c.compact { // compact: the NULL lives in the code/validity arrays
-			c.strs = append(c.strs, "")
-		}
+		c.strDict().appendCode(0, false)
 	case KindBool:
 		c.bools = append(c.bools, false)
 	}
+}
+
+// strDict returns the string column's encoding, creating an empty one for a
+// column assembled without a constructor (the append paths' entry).
+func (c *Column) strDict() *DictEncoding {
+	if c.dict == nil {
+		c.dict = &DictEncoding{}
+	}
+	return c.dict
 }
 
 // AppendInt extends an int or time column with a value.
@@ -501,10 +414,7 @@ func (c *Column) AppendStr(v string) {
 	if c.kind != KindString {
 		panic("dataframe: AppendStr on " + c.kind.String())
 	}
-	c.extendDictStr(v) // may rematerialise a compact column (fallback cases)
-	if !c.compact {
-		c.strs = append(c.strs, v)
-	}
+	c.strDict().appendValue(v)
 	c.valid = append(c.valid, true)
 }
 
@@ -517,10 +427,10 @@ func (c *Column) AppendBool(v bool) {
 	c.valid = append(c.valid, true)
 }
 
-// appendFrom bulk-appends every row of o (same kind, checked by the caller)
-// — the column half of Table.AppendRows. Existing rows keep their positions
-// and values; string columns extend a built dictionary in place when the
-// delta keeps existing codes stable (see extendDictBulk).
+// appendFrom bulk-appends every row of o (same kind, checked by the caller),
+// the column half of Table.AppendRows and Concat. Existing rows keep their
+// positions, values and codes; string columns translate o's codes into the
+// column's domain once per distinct value (see DictEncoding.appendFrom).
 func (c *Column) appendFrom(o *Column) {
 	switch c.kind {
 	case KindInt, KindTime:
@@ -528,10 +438,8 @@ func (c *Column) appendFrom(o *Column) {
 	case KindFloat:
 		c.floats = append(c.floats, o.floats...)
 	case KindString:
-		vals := o.materializedStrs() // o may itself be compact
-		c.extendDictBulk(vals, o.valid)
-		if !c.compact { // extendDictBulk rematerialises on fallback
-			c.strs = append(c.strs, vals...)
+		if o.dict != nil { // nil only on a row-less column
+			c.strDict().appendFrom(o.dict, o.valid)
 		}
 	case KindBool:
 		c.bools = append(c.bools, o.bools...)
@@ -539,69 +447,74 @@ func (c *Column) appendFrom(o *Column) {
 	c.valid = append(c.valid, o.valid...)
 }
 
-// Clone deep-copies the column. A compact column clones compact: the code
-// arrays are copied, the (immutable) domain is shared with append-safe
-// capacity.
+// Clone deep-copies the column. A string column copies its codes and shares
+// its domain (see DictEncoding.share).
 func (c *Column) Clone() *Column {
 	out := &Column{name: c.name, kind: c.kind}
 	if c.kind == KindString {
-		if c.compact {
-			out.dict = newBuiltDict(c.dict.enc.clone())
-			out.compact = true
-		} else {
-			out.dict = &dictLazy{}
-		}
+		out.dict = c.dict.share(c.Len())
+		out.dict.codes = append(out.dict.codes, c.dict.codes...)
+		out.dict.validBits = append(out.dict.validBits, c.dict.validBits...)
+		out.dict.nulls = c.dict.nulls
+		out.dict.rebuildMirrors()
 	}
 	out.valid = append([]bool(nil), c.valid...)
 	out.ints = append([]int64(nil), c.ints...)
 	out.floats = append([]float64(nil), c.floats...)
-	out.strs = append([]string(nil), c.strs...)
 	out.bools = append([]bool(nil), c.bools...)
 	return out
 }
 
 // DistinctStrings returns the sorted distinct non-null values of a string
-// column, capped at limit (0 = no cap). When a dictionary encoding exists the
-// probe is served from it — a presence scan over the codes instead of a
-// hashed scan over raw strings (the domain is already sorted; the scan drops
-// inherited-domain values absent from the column's rows).
+// column, capped at limit (0 = no cap): a presence scan over the codes, then
+// the present values in sorted-permutation order.
 func (c *Column) DistinctStrings(limit int) []string {
 	if c.kind != KindString {
 		panic("dataframe: DistinctStrings on " + c.kind.String())
 	}
-	if enc := c.Dict(); enc != nil {
-		present := make([]bool, len(enc.values))
-		for i, code := range enc.codes {
-			if c.valid[i] {
-				present[code] = true
-			}
+	enc := c.dict
+	present := make([]bool, len(enc.values))
+	for i, code := range enc.codes {
+		if c.valid[i] {
+			present[code] = true
 		}
-		var out []string
-		for code, p := range present {
-			if !p {
-				continue
-			}
-			out = append(out, enc.values[code])
-			if limit > 0 && len(out) == limit {
-				break
-			}
-		}
-		return out
 	}
-	seen := map[string]bool{}
 	var out []string
-	for i, s := range c.strs {
-		if !c.valid[i] || seen[s] {
+	for _, code := range enc.sorted {
+		if !present[code] {
 			continue
 		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	sortStrings(out)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+		out = append(out, enc.values[code])
+		if limit > 0 && len(out) == limit {
+			break
+		}
 	}
 	return out
+}
+
+// MemBytes estimates the column's resident heap bytes: value storage plus
+// validity plus, for string columns, the dictionary encoding (codes, narrow
+// mirror, validity bitmap, sorted permutation, rank and domain). Domain
+// strings count 16 bytes of header (8-byte pointer + 8-byte length on
+// 64-bit) plus payload.
+func (c *Column) MemBytes() int64 {
+	b := int64(len(c.valid))
+	switch c.kind {
+	case KindInt, KindTime:
+		b += 8 * int64(len(c.ints))
+	case KindFloat:
+		b += 8 * int64(len(c.floats))
+	case KindBool:
+		b += int64(len(c.bools))
+	case KindString:
+		d := c.dict
+		b += 4*int64(len(d.codes)) + int64(len(d.codes8)) + 2*int64(len(d.codes16))
+		b += 8*int64(len(d.validBits)) + 4*int64(len(d.sorted)+len(d.rank))
+		for _, s := range d.values {
+			b += 16 + int64(len(s))
+		}
+	}
+	return b
 }
 
 // MinMaxFloat returns the minimum and maximum non-null values of a numeric

@@ -2,416 +2,361 @@ package dataframe
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
+	"strconv"
 	"testing"
 )
 
-// compactPair builds the same random string-bearing table twice and compacts
-// one copy, returning (raw, compact) for differential checks.
-func compactPair(t *testing.T, n int, seed int64) (*Table, *Table) {
-	t.Helper()
-	mk := func() *Table {
-		rng := rand.New(rand.NewSource(seed))
-		cats := []string{"a", "aa", "b", "c", "dd", "e"}
-		s := make([]string, n)
-		sv := make([]bool, n)
-		x := make([]int64, n)
-		for i := 0; i < n; i++ {
-			s[i] = cats[rng.Intn(len(cats))]
-			sv[i] = rng.Float64() > 0.2
-			x[i] = int64(rng.Intn(100))
-		}
-		return MustNewTable(
-			NewStringColumn("s", s, sv),
-			NewIntColumn("x", x, nil),
-		)
-	}
-	raw, comp := mk(), mk()
-	if got := comp.Compact(); got != 1 {
-		t.Fatalf("Compact() = %d columns, want 1", got)
-	}
-	return raw, comp
+// strModel is the plain reference for a string column: one Go string per row
+// plus validity, the representation the code storage must be
+// indistinguishable from through the public readers.
+type strModel struct {
+	s     []string
+	valid []bool
 }
 
-// sameStringColumn requires two columns to agree row for row through the
-// public readers (Str, Value, IsNull) — the compact column has no []string
-// backing, so every agreement exercises the lazy decode.
-func sameStringColumn(t *testing.T, label string, raw, comp *Column) {
-	t.Helper()
-	if raw.Len() != comp.Len() {
-		t.Fatalf("%s: %d rows vs %d", label, raw.Len(), comp.Len())
+// modelTable builds a random string-bearing table and its model; the x
+// column numbers the rows so permutations are observable.
+func modelTable(n int, seed int64) (*Table, strModel) {
+	rng := rand.New(rand.NewSource(seed))
+	cats := []string{"a", "aa", "b", "c", "dd", "e"}
+	m := strModel{s: make([]string, n), valid: make([]bool, n)}
+	x := make([]int64, n)
+	for i := 0; i < n; i++ {
+		m.valid[i] = rng.Float64() > 0.2
+		if m.valid[i] {
+			m.s[i] = cats[rng.Intn(len(cats))]
+		}
+		x[i] = int64(i)
 	}
-	for i := 0; i < raw.Len(); i++ {
-		if raw.IsNull(i) != comp.IsNull(i) {
-			t.Fatalf("%s row %d: null %v vs %v", label, i, raw.IsNull(i), comp.IsNull(i))
+	return MustNewTable(NewStringColumn("s", m.s, m.valid), NewIntColumn("x", x, nil)), m
+}
+
+// take returns the model of Take(idx).
+func (m strModel) take(idx []int) strModel {
+	out := strModel{s: make([]string, len(idx)), valid: make([]bool, len(idx))}
+	for j, i := range idx {
+		out.s[j], out.valid[j] = m.s[i], m.valid[i]
+	}
+	return out
+}
+
+// distinct returns the model's sorted distinct non-null values.
+func (m strModel) distinct() []string {
+	var out []string
+	for i, s := range m.s {
+		if m.valid[i] {
+			out = append(out, s)
 		}
-		if raw.IsNull(i) {
-			continue // NULL rows are unreadable; raw may hold constructor garbage
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// sameAsModel requires a column to agree row for row with its model through
+// the public readers (Str, Value, IsNull); NULL rows read as "".
+func sameAsModel(t *testing.T, label string, m strModel, c *Column) {
+	t.Helper()
+	if len(m.s) != c.Len() {
+		t.Fatalf("%s: %d rows vs model %d", label, c.Len(), len(m.s))
+	}
+	for i := range m.s {
+		if c.IsNull(i) != !m.valid[i] {
+			t.Fatalf("%s row %d: null %v vs model %v", label, i, c.IsNull(i), !m.valid[i])
 		}
-		if raw.Str(i) != comp.Str(i) {
-			t.Fatalf("%s row %d: %q vs %q", label, i, raw.Str(i), comp.Str(i))
+		if !m.valid[i] {
+			if c.Str(i) != "" || c.Value(i) != nil {
+				t.Fatalf("%s row %d: NULL reads %q", label, i, c.Str(i))
+			}
+			continue
 		}
-		if raw.Value(i) != comp.Value(i) {
-			t.Fatalf("%s row %d: Value %v vs %v", label, i, raw.Value(i), comp.Value(i))
+		if c.Str(i) != m.s[i] || c.Value(i) != m.s[i] {
+			t.Fatalf("%s row %d: %q vs model %q", label, i, c.Str(i), m.s[i])
 		}
 	}
 }
 
+// TestCompactBasics checks that every string column is code-backed at
+// construction, at any cardinality, and reads back its values.
 func TestCompactBasics(t *testing.T) {
-	raw, comp := compactPair(t, 300, 1)
-	sc := comp.Column("s")
-	if !sc.IsCompact() {
-		t.Fatal("column not compact after Table.Compact")
+	tbl, m := modelTable(300, 1)
+	sc := tbl.Column("s")
+	if sc.Dict() == nil || sc.Dict().NumRows() != 300 {
+		t.Fatal("string column is not code-backed")
 	}
-	if sc.StrData() != nil {
-		t.Fatal("compact column still carries a []string backing")
-	}
-	if sc.Dict() == nil {
-		t.Fatal("compact column lost its encoding")
-	}
-	sameStringColumn(t, "compact", raw.Column("s"), sc)
-	// Idempotent; non-string and unencodable columns decline.
-	if !sc.Compact() {
-		t.Error("second Compact() on a compact column returned false")
-	}
-	if comp.Column("x").Compact() {
-		t.Error("Compact() accepted an int column")
-	}
+	sameAsModel(t, "codes", m, sc)
 	hi := make([]string, 2000)
 	for i := range hi {
-		hi[i] = fmt.Sprintf("u%05d", i)
+		hi[i] = fmt.Sprintf("u%05d", (i*7919)%2000)
 	}
 	hc := NewStringColumn("hc", hi, nil)
-	if hc.Compact() {
-		t.Error("Compact() accepted a column above MaxDictCardinality")
-	}
-	if hc.Str(7) != "u00007" {
-		t.Error("declined Compact() damaged the column")
+	if hc.Dict().Cardinality() != 2000 || hc.Str(7) != hi[7] {
+		t.Error("a 2000-value column must encode like any other")
 	}
 }
 
-// TestCompactAppendSemantics pins the PR 9 fallback contract on compact
-// columns: in-domain appends stay compact; a mid-domain value or a
-// cap-crossing delta rematerialises the strings first, and the column then
-// behaves exactly like a raw one.
+// TestCompactAppendSemantics pins the append contract: in-domain values,
+// mid-domain values, NULLs and a delta pushing the domain past 1024 values
+// all extend the codes in place, and no existing row's code changes.
 func TestCompactAppendSemantics(t *testing.T) {
-	mk := func() *Column {
-		c := NewStringColumn("s", []string{"a", "b", "d", "b"}, nil)
-		if c.Dict() == nil || !c.Compact() {
-			t.Fatal("setup: compact failed")
-		}
-		return c
-	}
-	// In-domain append (and NULLs): stays compact, reads stay correct.
-	c := mk()
+	c := NewStringColumn("s", []string{"a", "b", "d", "b"}, nil)
+	enc := c.Dict()
+	before := slices.Clone(enc.Codes())
 	c.AppendStr("d")
 	c.AppendNull()
+	c.AppendStr("c") // sorts inside {a,b,d}: takes the next code anyway
 	c.AppendStr("a")
-	if !c.IsCompact() {
-		t.Fatal("in-domain append dropped compact storage")
-	}
-	wantRows := []string{"a", "b", "d", "b", "d", "", "a"}
-	for i, w := range wantRows {
+	for i, w := range []string{"a", "b", "d", "b", "d", "", "c", "a"} {
 		if c.Str(i) != w {
 			t.Fatalf("row %d = %q, want %q", i, c.Str(i), w)
 		}
 	}
-	if !slices.Equal(c.Dict().Values(), []string{"a", "b", "d"}) {
-		t.Fatalf("domain = %v", c.Dict().Values())
+	if !slices.Equal(enc.Codes()[:4], before) {
+		t.Fatal("append changed existing codes")
+	}
+	if code, ok := enc.CodeOf("c"); !ok || code != 3 {
+		t.Fatalf("CodeOf(c) = %d,%v, want 3,true", code, ok)
 	}
 
-	// Mid-domain value: "c" sorts inside {a,b,d} — codes shift, so the column
-	// must rematerialise and re-encode like a raw column would.
-	c = mk()
-	c.AppendStr("c")
-	if c.IsCompact() {
-		t.Fatal("mid-domain append left the column compact")
-	}
-	for i, w := range []string{"a", "b", "d", "b", "c"} {
-		if c.Str(i) != w {
-			t.Fatalf("after shift, row %d = %q, want %q", i, c.Str(i), w)
-		}
-	}
-	if enc := c.Dict(); enc == nil || !slices.Equal(enc.Values(), []string{"a", "b", "c", "d"}) {
-		t.Fatal("re-encode after rematerialise lost the new domain")
-	}
-
-	// Cap crossing: the dictionary drops entirely; the strings must survive.
 	other := make([]string, 1200)
 	for i := range other {
-		other[i] = fmt.Sprintf("v%04d", i)
+		other[i] = fmt.Sprintf("v%04d", 1199-i)
 	}
-	big := NewStringColumn("s", other, nil)
-	c = mk()
 	tb := MustNewTable(c)
-	if err := tb.AppendRows(MustNewTable(big)); err != nil {
+	before = slices.Clone(enc.Codes())
+	if err := tb.AppendRows(MustNewTable(NewStringColumn("s", other, nil))); err != nil {
 		t.Fatal(err)
 	}
-	if c.IsCompact() {
-		t.Fatal("cap-crossing append left the column compact")
+	if c.Dict() != enc || !slices.Equal(enc.Codes()[:len(before)], before) {
+		t.Fatal("crossing 1024 values replaced the encoding or changed codes")
 	}
-	if c.Dict() != nil {
-		t.Fatal("cap-crossing append kept an encoding")
+	if enc.Codes8() != nil || enc.Codes16() == nil {
+		t.Fatal("1204-value domain must carry the uint16 mirror")
 	}
-	if c.Str(0) != "a" || c.Str(3) != "b" || c.Str(4) != "v0000" || c.Str(4+1199) != "v1199" {
-		t.Fatal("rows corrupted across the cap-crossing rematerialise")
+	if c.Str(0) != "a" || c.Str(3) != "b" || c.Str(8) != "v1199" || c.Str(8+1199) != "v0000" {
+		t.Fatal("rows corrupted across the domain growth")
+	}
+	if got := c.DistinctStrings(3); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("DistinctStrings(3) = %v", got)
 	}
 }
 
-// TestCompactTakeCloneSort checks the derived-column paths keep compact
-// storage and bit-identical ordering semantics.
+// TestCompactTakeCloneSort checks the derived-column paths against the
+// model, and that columns sharing a domain never see each other's appends.
 func TestCompactTakeCloneSort(t *testing.T) {
-	raw, comp := compactPair(t, 400, 2)
+	tbl, m := modelTable(400, 2)
 	idx := []int{5, 0, 399, 17, 17, 250, 3}
-	rt, ct := raw.Take(idx), comp.Take(idx)
-	if !ct.Column("s").IsCompact() {
-		t.Error("Take dropped compact storage")
-	}
-	sameStringColumn(t, "take", rt.Column("s"), ct.Column("s"))
+	taken := tbl.Take(idx)
+	sameAsModel(t, "take", m.take(idx), taken.Column("s"))
 
-	cc := comp.Column("s").Clone()
-	if !cc.IsCompact() {
-		t.Error("Clone dropped compact storage")
+	cc := tbl.Column("s").Clone()
+	sameAsModel(t, "clone", m, cc)
+	// Appending new values to the clone and the taken column must not touch
+	// the original or each other (the domain is shared, append-safe).
+	cc.AppendStr("zz")
+	cc.AppendStr("0")
+	taken.Column("s").AppendStr("q")
+	sameAsModel(t, "original after sibling appends", m, tbl.Column("s"))
+	if _, ok := tbl.Column("s").Dict().CodeOf("zz"); ok {
+		t.Fatal("clone's new value leaked into the original's domain")
 	}
-	sameStringColumn(t, "clone", raw.Column("s"), cc)
-	// Mutating the clone must not corrupt the original (domain is shared but
-	// append-safe).
-	cc.AppendStr("aa")
-	sameStringColumn(t, "clone-after-append", raw.Column("s"), comp.Column("s"))
+	if cc.Str(400) != "zz" || cc.Str(401) != "0" || taken.Column("s").Str(7) != "q" {
+		t.Fatal("sibling appends misread")
+	}
 
-	rs, err := raw.SortBy("s")
+	sorted, err := tbl.SortBy("s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := comp.SortBy("s")
-	if err != nil {
-		t.Fatal(err)
+	// The model's order: non-null values ascending, ties and NULLs in input
+	// order, NULLs last.
+	order := make([]int, len(m.s))
+	for i := range order {
+		order[i] = i
 	}
-	sameStringColumn(t, "sortby", rs.Column("s"), cs.Column("s"))
-	for i := 0; i < rs.NumRows(); i++ {
-		if rs.Column("x").Int(i) != cs.Column("x").Int(i) {
-			t.Fatalf("sort permutation diverged at row %d", i)
+	slices.SortStableFunc(order, func(a, b int) int {
+		switch {
+		case m.valid[a] != m.valid[b]:
+			if m.valid[a] {
+				return -1
+			}
+			return 1
+		case !m.valid[a]:
+			return 0
+		case m.s[a] < m.s[b]:
+			return -1
+		case m.s[a] > m.s[b]:
+			return 1
+		}
+		return 0
+	})
+	for i, want := range order {
+		if got := sorted.Column("x").Int(i); got != int64(want) {
+			t.Fatalf("SortBy row %d = source row %d, want %d", i, got, want)
 		}
 	}
 }
 
-// TestConcatCompactSplice is the Concat fast-path satellite: equal-domain
-// built encodings splice code arrays (output compact iff all inputs are);
-// unequal domains fall back to the generic append loop and still produce
-// from-scratch-identical results.
+// TestConcatCompactSplice checks Concat over equal and unequal domains
+// against the model: equal-domain inputs splice their codes unchanged,
+// unequal ones translate, and the output shares no per-row state with its
+// inputs.
 func TestConcatCompactSplice(t *testing.T) {
-	_, a := compactPair(t, 120, 3)
-	_, b := compactPair(t, 90, 4) // same cats pool => same domain
-	rawA, _ := compactPair(t, 120, 3)
-	rawB, _ := compactPair(t, 90, 4)
-
+	a, ma := modelTable(120, 3)
+	b := a.Take([]int{7, 3, 100, 0, 55}) // shares a's domain
+	mb := ma.take([]int{7, 3, 100, 0, 55})
 	got, err := Concat(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Column("s").IsCompact() {
-		t.Error("equal-domain compact concat is not compact")
+	both := strModel{s: append(slices.Clone(ma.s), mb.s...), valid: append(slices.Clone(ma.valid), mb.valid...)}
+	sameAsModel(t, "splice", both, got.Column("s"))
+	if !slices.Equal(got.Column("s").Dict().Codes()[120:], b.Column("s").Dict().Codes()) {
+		t.Error("equal-domain concat did not carry the codes over unchanged")
 	}
-	want, err := Concat(rawA, rawB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStringColumn(t, "splice", want.Column("s"), got.Column("s"))
-	// The splice must share no per-row state with its inputs: appending to the
-	// output leaves the inputs untouched.
-	preA, preB := a.Column("s").Str(0), b.Column("s").Str(0)
-	got.Column("s").AppendStr("e")
-	if a.Column("s").Str(0) != preA || b.Column("s").Str(0) != preB {
-		t.Error("splice output aliases its inputs")
-	}
+	got.Column("s").AppendStr("new")
+	sameAsModel(t, "input after output append", ma, a.Column("s"))
 
-	// Mixed compact/raw inputs with one shared BUILT domain: fast path still
-	// applies, output falls back to raw storage but keeps the encoding.
-	_, c1 := compactPair(t, 60, 5)
-	r2, _ := compactPair(t, 40, 6)
-	r2.Column("s").Dict() // build without compacting
-	mixed, err := Concat(c1, r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed.Column("s").IsCompact() {
-		t.Error("mixed compact/raw concat claimed compact storage")
-	}
-	wantMixed, err := Concat(func() *Table { x, _ := compactPair(t, 60, 5); return x }(), func() *Table { x, _ := compactPair(t, 40, 6); return x }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStringColumn(t, "mixed", wantMixed.Column("s"), mixed.Column("s"))
-
-	// Unequal-domain fallback regression: a table whose domain differs forces
-	// the generic path; results still match from-scratch concat.
-	d1 := MustNewTable(NewStringColumn("s", []string{"a", "b", "a"}, nil), NewIntColumn("x", []int64{1, 2, 3}, nil))
-	d2 := MustNewTable(NewStringColumn("s", []string{"zz", "b", "zz"}, nil), NewIntColumn("x", []int64{4, 5, 6}, nil))
-	if d1.Compact() != 1 || d2.Compact() != 1 {
-		t.Fatal("setup: compact failed")
-	}
+	d1 := MustNewTable(NewStringColumn("s", []string{"b", "a", "b"}, nil), NewIntColumn("x", []int64{1, 2, 3}, nil))
+	d2 := MustNewTable(NewStringColumn("s", []string{"zz", "a", "", "zz"}, []bool{true, true, false, true}), NewIntColumn("x", []int64{4, 5, 6, 7}, nil))
 	uneq, err := Concat(d1, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := []string{"a", "b", "a", "zz", "b", "zz"}
-	for i, w := range wantRows {
+	for i, w := range []string{"b", "a", "b", "zz", "a", "", "zz"} {
 		if uneq.Column("s").Str(i) != w {
 			t.Fatalf("unequal-domain concat row %d = %q, want %q", i, uneq.Column("s").Str(i), w)
 		}
 	}
-	if enc := uneq.Column("s").Dict(); enc == nil || !slices.Equal(enc.Values(), []string{"a", "b", "zz"}) {
-		t.Error("unequal-domain concat did not re-encode the merged domain")
+	if enc := uneq.Column("s").Dict(); !slices.Equal(enc.Values(), []string{"b", "a", "zz"}) {
+		t.Errorf("unequal-domain concat domain = %v, want first-seen [b a zz]", enc.Values())
 	}
 }
 
-// TestDistinctStringsFromDomain is the cardinality-probe satellite: the probe
-// reads the encoded domain (sorted already) and must drop inherited domain
-// values absent from the rows — a Take-derived compact column keeps the full
-// parent domain but exposes only its own rows' values.
+// TestDistinctStringsFromDomain checks the presence-scanned distinct values:
+// sorted, capped by limit, and free of domain values a Take-derived column
+// inherited but does not hold.
 func TestDistinctStringsFromDomain(t *testing.T) {
-	raw, comp := compactPair(t, 200, 7)
-	want := raw.Column("s").DistinctStrings(0)
-	got := comp.Column("s").DistinctStrings(0)
-	if !slices.Equal(got, want) {
+	tbl, m := modelTable(200, 7)
+	want := m.distinct()
+	if got := tbl.Column("s").DistinctStrings(0); !slices.Equal(got, want) {
 		t.Fatalf("DistinctStrings = %v, want %v", got, want)
 	}
-	if lim := comp.Column("s").DistinctStrings(2); !slices.Equal(lim, want[:2]) {
+	if lim := tbl.Column("s").DistinctStrings(2); !slices.Equal(lim, want[:2]) {
 		t.Fatalf("limited DistinctStrings = %v, want %v", lim, want[:2])
 	}
-	// A sliced view: only rows whose value is "aa" or "dd" — the inherited
-	// domain still holds six values, the probe must report two.
 	var idx []int
-	for i := 0; i < raw.NumRows(); i++ {
-		c := raw.Column("s")
-		if !c.IsNull(i) && (c.Str(i) == "aa" || c.Str(i) == "dd") {
+	for i := range m.s {
+		if m.valid[i] && (m.s[i] == "aa" || m.s[i] == "dd") {
 			idx = append(idx, i)
 		}
 	}
-	sub := comp.Take(idx).Column("s")
-	if !sub.IsCompact() {
-		t.Fatal("take lost compact storage")
+	sub := tbl.Take(idx).Column("s")
+	if sub.Dict().Cardinality() != len(want) {
+		t.Fatalf("taken column should inherit the %d-value domain", len(want))
 	}
 	if got := sub.DistinctStrings(0); !slices.Equal(got, []string{"aa", "dd"}) {
 		t.Fatalf("inherited-domain DistinctStrings = %v, want [aa dd]", got)
 	}
+	// Floats: ranks among the values the rows hold, not the inherited domain.
+	vals, valid := sub.Floats()
+	for i := range vals {
+		w := 0.0
+		if sub.Str(i) == "dd" {
+			w = 1
+		}
+		if !valid[i] || vals[i] != w {
+			t.Fatalf("Floats row %d = %v,%v, want %v", i, vals[i], valid[i], w)
+		}
+	}
 }
 
-// TestCompactCSVAndGrouping covers the remaining StrData consumers: CSV
-// encode, group building and join keys read compact columns through the
-// decoding accessors.
+// TestCompactCSVAndGrouping covers CSV in both directions, grouping and join
+// keys over code-backed columns against the model.
 func TestCompactCSVAndGrouping(t *testing.T) {
-	raw, comp := compactPair(t, 150, 8)
-	var rbuf, cbuf bytes.Buffer
-	if err := raw.WriteCSV(&rbuf); err != nil {
+	tbl, m := modelTable(150, 8)
+	var buf bytes.Buffer
+	if err := tbl.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := comp.WriteCSV(&cbuf); err != nil {
-		t.Fatal(err)
-	}
-	if rbuf.String() != cbuf.String() {
-		t.Fatal("CSV output diverges between raw and compact")
-	}
-
-	rg, err := raw.GroupBy("s")
+	recs, err := csv.NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := comp.GroupBy("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := map[string]int{}
-	rg.Each(func(key string, rows []int) { rm[key] = len(rows) })
-	cn := 0
-	cg.Each(func(key string, rows []int) {
-		if rm[key] != len(rows) {
-			t.Errorf("group %q: %d rows vs raw %d", key, len(rows), rm[key])
+	for i, rec := range recs[1:] {
+		if rec[0] != m.s[i] || rec[1] != strconv.Itoa(i) {
+			t.Fatalf("CSV row %d = %v, want [%q %d]", i, rec, m.s[i], i)
 		}
-		cn++
+	}
+	back, err := ReadCSV(bytes.NewReader(buf.Bytes()), []ColumnSpec{{"s", KindString}, {"x", KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsModel(t, "csv round trip", m, back.Column("s"))
+
+	g, err := tbl.GroupBy("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[string]int{}
+	for i := range m.s {
+		sizes[tbl.Column("s").KeyString(i)]++
+	}
+	n := 0
+	g.Each(func(key string, rows []int) {
+		if sizes[key] != len(rows) {
+			t.Errorf("group %q: %d rows vs model %d", key, len(rows), sizes[key])
+		}
+		n++
 	})
-	if cn != len(rm) {
-		t.Fatalf("group count %d vs raw %d", cn, len(rm))
+	if n != len(sizes) {
+		t.Fatalf("group count %d vs model %d", n, len(sizes))
 	}
 
 	right := MustNewTable(
-		NewStringColumn("s", []string{"a", "b", "c"}, nil),
-		NewFloatColumn("w", []float64{1, 2, 3}, nil),
+		NewStringColumn("s", []string{"c", "a", "b"}, nil),
+		NewFloatColumn("w", []float64{3, 1, 2}, nil),
 	)
-	rj, err := raw.LeftJoin(right, []string{"s"}, []string{"s"})
+	j, err := tbl.LeftJoin(right, []string{"s"}, []string{"s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cj, err := comp.LeftJoin(right, []string{"s"}, []string{"s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rj.NumRows(); i++ {
-		rn, cnl := rj.Column("w").IsNull(i), cj.Column("w").IsNull(i)
-		if rn != cnl || (!rn && rj.Column("w").Float(i) != cj.Column("w").Float(i)) {
+	weight := map[string]float64{"a": 1, "b": 2, "c": 3}
+	for i := range m.s {
+		w, hit := weight[m.s[i]]
+		hit = hit && m.valid[i]
+		if j.Column("w").IsNull(i) == hit || (hit && j.Column("w").Float(i) != w) {
 			t.Fatalf("join row %d diverges", i)
 		}
 	}
 }
 
-// TestMemBytesCompactReduction is the memory-observability satellite's unit
-// check: the per-column breakdown reports compact flags, and dropping the
-// []string backing must cut the string column's resident bytes at least 2x.
+// TestMemBytesCompactReduction is the memory-observability check: a string
+// column's resident bytes must be at most half of what one Go string per row
+// (16 header bytes plus payload) would cost.
 func TestMemBytesCompactReduction(t *testing.T) {
-	raw, comp := compactPair(t, 4096, 9)
-	// Build the raw encoding too: the comparison is "raw post-encode" vs
-	// compact, the steady serving state on both sides.
-	raw.Column("s").Dict()
-	rawTotal, rawCols := raw.MemBytes()
-	compTotal, compCols := comp.MemBytes()
-	if rawTotal <= 0 || compTotal <= 0 || len(rawCols) != 2 || len(compCols) != 2 {
-		t.Fatalf("MemBytes shape: %d/%d bytes, %d/%d cols", rawTotal, compTotal, len(rawCols), len(compCols))
+	tbl, m := modelTable(4096, 9)
+	total, cols := tbl.MemBytes()
+	if total <= 0 || len(cols) != 2 {
+		t.Fatalf("MemBytes shape: %d bytes, %d cols", total, len(cols))
 	}
-	var rawS, compS int64
-	for _, cm := range rawCols {
+	var perRowStrings int64
+	for _, s := range m.s {
+		perRowStrings += 16 + int64(len(s)) + 1 // + validity
+	}
+	var sBytes int64
+	for _, cm := range cols {
 		if cm.Name == "s" {
-			rawS = cm.Bytes
-			if cm.Compact {
-				t.Error("raw column reported compact")
-			}
+			sBytes = cm.Bytes
 		}
 	}
-	for _, cm := range compCols {
-		if cm.Name == "s" {
-			compS = cm.Bytes
-			if !cm.Compact {
-				t.Error("compact column not flagged in the breakdown")
-			}
-		}
+	if perRowStrings < 2*sBytes {
+		t.Errorf("string column bytes %d vs []string layout %d, want >= 2x reduction", sBytes, perRowStrings)
 	}
-	if rawS < 2*compS {
-		t.Errorf("string column bytes raw=%d compact=%d, want >= 2x reduction", rawS, compS)
-	}
-	if comp.Column("x").MemBytes() != raw.Column("x").MemBytes() {
-		t.Error("non-string column accounting diverges")
-	}
-}
-
-// TestNewTableOptsCompact covers the construction-time option.
-func TestNewTableOptsCompact(t *testing.T) {
-	cols := []*Column{
-		NewStringColumn("s", []string{"b", "a", "b"}, nil),
-		NewIntColumn("x", []int64{1, 2, 3}, nil),
-	}
-	tbl, err := NewTableOpts(cols, WithCompactStrings())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.Column("s").IsCompact() {
-		t.Fatal("WithCompactStrings left the string column raw")
-	}
-	if tbl.Column("s").Str(1) != "a" {
-		t.Fatal("compact-at-construction column misreads")
-	}
-	if strings.Join(tbl.ColumnNames(), ",") != "s,x" {
-		t.Fatal("option reordered columns")
+	if tbl.Column("x").MemBytes() != 4096*9 {
+		t.Error("int column accounting changed")
 	}
 }

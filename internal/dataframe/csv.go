@@ -29,6 +29,7 @@ func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
 		pos[h] = i
 	}
 	cols := make([]*Column, len(specs))
+	encs := make([]*encoder, len(specs)) // string columns encode in bulk
 	idx := make([]int, len(specs))
 	for i, s := range specs {
 		p, ok := pos[s.Name]
@@ -38,7 +39,7 @@ func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
 		idx[i] = p
 		cols[i] = &Column{name: s.Name, kind: s.Kind}
 		if s.Kind == KindString {
-			cols[i].dict = &dictLazy{}
+			encs[i] = newEncoder(0)
 		}
 	}
 	for line := 2; ; line++ {
@@ -51,6 +52,11 @@ func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
 		}
 		for i, c := range cols {
 			cell := rec[idx[i]]
+			if encs[i] != nil {
+				encs[i].add(cell, cell != "")
+				c.valid = append(c.valid, cell != "")
+				continue
+			}
 			if cell == "" {
 				c.AppendNull()
 				continue
@@ -58,6 +64,11 @@ func ReadCSV(r io.Reader, specs []ColumnSpec) (*Table, error) {
 			if err := appendParsed(c, cell); err != nil {
 				return nil, fmt.Errorf("dataframe: line %d column %q: %w", line, c.name, err)
 			}
+		}
+	}
+	for i, e := range encs {
+		if e != nil {
+			cols[i].dict = e.finish()
 		}
 	}
 	return NewTable(cols...)
@@ -77,8 +88,6 @@ func appendParsed(c *Column, cell string) error {
 			return err
 		}
 		c.AppendFloat(v)
-	case KindString:
-		c.AppendStr(cell)
 	case KindBool:
 		v, err := strconv.ParseBool(cell)
 		if err != nil {

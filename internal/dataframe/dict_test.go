@@ -7,28 +7,31 @@ import (
 	"testing"
 )
 
-// TestDictEncodingBuild pins the encoding of a small column with NULLs: sorted
-// domain, rank codes, narrow mirror, validity bitmap and null count.
+// TestDictEncodingBuild pins the encoding of a small column with NULLs:
+// first-seen codes, the sorted permutation and rank, narrow mirror, validity
+// bitmap and null count.
 func TestDictEncodingBuild(t *testing.T) {
 	c := NewStringColumn("s",
 		[]string{"pear", "apple", "", "pear", "fig", "apple"},
 		[]bool{true, true, false, true, true, true})
 	enc := c.Dict()
 	if enc == nil {
-		t.Fatal("Dict() = nil for an encodable column")
+		t.Fatal("Dict() = nil for a string column")
 	}
-	wantVals := []string{"apple", "fig", "pear"}
-	if got := enc.Values(); len(got) != 3 || got[0] != "apple" || got[1] != "fig" || got[2] != "pear" {
-		t.Fatalf("Values() = %v, want %v", got, wantVals)
+	if got := enc.Values(); !slices.Equal(got, []string{"pear", "apple", "fig"}) {
+		t.Fatalf("Values() = %v, want first-seen [pear apple fig]", got)
+	}
+	if got := enc.Sorted(); !slices.Equal(got, []uint32{1, 2, 0}) {
+		t.Fatalf("Sorted() = %v, want [1 2 0] (apple fig pear)", got)
+	}
+	if got := enc.Rank(); !slices.Equal(got, []uint32{2, 0, 1}) {
+		t.Fatalf("Rank() = %v, want [2 0 1]", got)
 	}
 	if enc.Cardinality() != 3 || enc.NullCount() != 1 || enc.NumRows() != 6 {
 		t.Fatalf("card/nulls/rows = %d/%d/%d, want 3/1/6", enc.Cardinality(), enc.NullCount(), enc.NumRows())
 	}
-	wantCodes := []uint32{2, 0, 0, 2, 1, 0} // row 2 is NULL: unspecified, builder leaves 0
+	wantCodes := []uint32{0, 1, 0, 0, 2, 1} // row 2 is NULL: code 0
 	for i, w := range wantCodes {
-		if i == 2 {
-			continue
-		}
 		if enc.Codes()[i] != w {
 			t.Errorf("Codes()[%d] = %d, want %d", i, enc.Codes()[i], w)
 		}
@@ -46,19 +49,20 @@ func TestDictEncodingBuild(t *testing.T) {
 		s    string
 		code uint32
 		ok   bool
-	}{{"apple", 0, true}, {"fig", 1, true}, {"pear", 2, true}, {"plum", 0, false}, {"", 0, false}} {
+	}{{"pear", 0, true}, {"apple", 1, true}, {"fig", 2, true}, {"plum", 0, false}, {"", 0, false}, {"a", 0, false}} {
 		code, ok := enc.CodeOf(tc.s)
 		if code != tc.code || ok != tc.ok {
 			t.Errorf("CodeOf(%q) = %d,%v want %d,%v", tc.s, code, ok, tc.code, tc.ok)
 		}
 	}
-	if again := c.Dict(); again != enc {
-		t.Error("second Dict() rebuilt the encoding")
+	if c.Str(2) != "" || c.Value(2) != nil {
+		t.Error("NULL row must read as \"\" / nil")
 	}
 }
 
 // TestDictEncodingWidths checks the narrow-mirror selection at the uint8 and
-// uint16 boundaries and the cardinality cap.
+// uint16 boundaries, and that a domain above both keeps only the uint32
+// codes. There is no cardinality cap.
 func TestDictEncodingWidths(t *testing.T) {
 	mk := func(card int) *Column {
 		vals := make([]string, card)
@@ -67,17 +71,23 @@ func TestDictEncodingWidths(t *testing.T) {
 		}
 		return NewStringColumn("s", vals, nil)
 	}
-	if enc := mk(256).Dict(); enc == nil || enc.Codes8() == nil || enc.Codes16() != nil {
+	if enc := mk(256).Dict(); enc.Codes8() == nil || enc.Codes16() != nil {
 		t.Error("card 256: want a uint8 mirror")
 	}
-	if enc := mk(257).Dict(); enc == nil || enc.Codes8() != nil || enc.Codes16() == nil {
+	if enc := mk(257).Dict(); enc.Codes8() != nil || enc.Codes16() == nil {
 		t.Error("card 257: want a uint16 mirror")
 	}
-	if enc := mk(MaxDictCardinality).Dict(); enc == nil || enc.Cardinality() != MaxDictCardinality {
-		t.Error("card at the cap: want an encoding")
+	if enc := mk(1 << 16).Dict(); enc.Codes16() == nil {
+		t.Error("card 65536: want a uint16 mirror")
 	}
-	if enc := mk(MaxDictCardinality + 1).Dict(); enc != nil {
-		t.Error("card above the cap: want nil (generic fallback)")
+	wide := mk(1<<16 + 1)
+	if enc := wide.Dict(); enc.Codes8() != nil || enc.Codes16() != nil || enc.Cardinality() != 1<<16+1 {
+		t.Error("card 65537: want the uint32 codes only")
+	}
+	wide.AppendStr("v000007")
+	wide.AppendNull()
+	if enc := wide.Dict(); enc.Codes8() != nil || enc.Codes16() != nil || enc.Codes()[1<<16+1] != 7 {
+		t.Error("append to a wide column grew a mirror or misencoded")
 	}
 }
 
@@ -85,75 +95,72 @@ func TestDictEncodingWidths(t *testing.T) {
 // leans on: all-NULL (empty dictionary), single-value, and empty columns.
 func TestDictEncodingEdges(t *testing.T) {
 	allNull := NewStringColumn("s", []string{"x", "y"}, []bool{false, false})
-	if enc := allNull.Dict(); enc == nil || enc.Cardinality() != 0 || enc.NullCount() != 2 {
+	if enc := allNull.Dict(); enc.Cardinality() != 0 || enc.NullCount() != 2 {
 		t.Errorf("all-NULL: enc = %+v, want empty dictionary with 2 nulls", enc)
 	}
 	single := NewStringColumn("s", []string{"k", "k", "k"}, nil)
-	if enc := single.Dict(); enc == nil || enc.Cardinality() != 1 || enc.Codes8()[2] != 0 {
+	if enc := single.Dict(); enc.Cardinality() != 1 || enc.Codes8()[2] != 0 {
 		t.Error("single-value: want cardinality 1, code 0 everywhere")
 	}
 	empty := NewStringColumn("s", nil, nil)
-	if enc := empty.Dict(); enc == nil || enc.Cardinality() != 0 || enc.NumRows() != 0 {
+	if enc := empty.Dict(); enc.Cardinality() != 0 || enc.NumRows() != 0 {
 		t.Error("empty column: want an empty encoding")
+	}
+	if _, ok := empty.Dict().CodeOf(""); ok {
+		t.Error("empty domain must not contain \"\"")
+	}
+	empty.AppendStr("z")
+	if empty.Str(0) != "z" || empty.Dict().Cardinality() != 1 {
+		t.Error("append to an empty column misencoded")
 	}
 	if enc := NewIntColumn("i", []int64{1}, nil).Dict(); enc != nil {
 		t.Error("non-string column: Dict() must be nil")
 	}
 }
 
-// TestDictExtendOnAppend checks the append contract (PR 9): appends that
-// keep existing codes stable — values already in the domain, values sorting
-// after the current maximum, NULLs — extend the built encoding in place
-// (same pointer), while a mid-domain value swaps in a fresh holder for a
-// full re-encode.
+// TestDictExtendOnAppend checks the append contract: appends extend the
+// encoding in place, a value new to the domain takes the next code wherever
+// it sorts, existing codes never change, and the sorted permutation and rank
+// follow the grown domain.
 func TestDictExtendOnAppend(t *testing.T) {
-	c := NewStringColumn("s", []string{"a", "b"}, nil)
+	c := NewStringColumn("s", []string{"b", "d"}, nil)
 	first := c.Dict()
-	if first == nil || first.Cardinality() != 2 {
-		t.Fatal("seed encoding missing")
-	}
-	c.AppendStr("c") // sorts after the max: joins the domain end
+	c.AppendStr("e") // sorts after the max
 	c.AppendNull()
-	c.AppendStr("a") // in-domain: reuses its code
-	second := c.Dict()
-	if second != first {
-		t.Fatal("stable appends must extend the encoding in place")
+	c.AppendStr("b") // in-domain: reuses its code
+	c.AppendStr("a") // sorts before every value: still the next code
+	c.AppendStr("c") // mid-domain: still the next code
+	enc := c.Dict()
+	if enc != first {
+		t.Fatal("appends must extend the encoding in place")
 	}
-	if second.NumRows() != 5 || second.Cardinality() != 3 || second.NullCount() != 1 {
-		t.Errorf("extended encoding = %d rows / %d card / %d nulls, want 5/3/1",
-			second.NumRows(), second.Cardinality(), second.NullCount())
+	if enc.NumRows() != 7 || enc.Cardinality() != 5 || enc.NullCount() != 1 {
+		t.Errorf("extended encoding = %d rows / %d card / %d nulls, want 7/5/1",
+			enc.NumRows(), enc.Cardinality(), enc.NullCount())
 	}
-	if want := []uint8{0, 1, 2, 0, 0}; !slices.Equal(second.Codes8(), want) {
-		t.Errorf("extended codes = %v, want %v", second.Codes8(), want)
+	if want := []uint8{0, 1, 2, 0, 0, 3, 4}; !slices.Equal(enc.Codes8(), want) {
+		t.Errorf("codes = %v, want %v", enc.Codes8(), want)
 	}
-	c.AppendStr("ab") // mid-domain: would shift codes of "b" and "c"
-	third := c.Dict()
-	if third == first {
-		t.Fatal("mid-domain append must trigger a full re-encode")
+	if want := []uint32{3, 0, 4, 1, 2}; !slices.Equal(enc.Sorted(), want) {
+		t.Errorf("sorted = %v, want %v (a b c d e)", enc.Sorted(), want)
 	}
-	if third.NumRows() != 6 || third.Cardinality() != 4 || third.NullCount() != 1 {
-		t.Errorf("rebuilt encoding = %d rows / %d card / %d nulls, want 6/4/1",
-			third.NumRows(), third.Cardinality(), third.NullCount())
+	if want := []uint32{1, 3, 4, 0, 2}; !slices.Equal(enc.Rank(), want) {
+		t.Errorf("rank = %v, want %v", enc.Rank(), want)
 	}
-}
-
-// TestEncodeDicts checks the eager table-level pass counts encodable columns
-// only.
-func TestEncodeDicts(t *testing.T) {
-	big := make([]string, MaxDictCardinality+1)
-	for i := range big {
-		big[i] = fmt.Sprintf("u%05d", i)
+	if got := c.DistinctStrings(0); !slices.Equal(got, []string{"a", "b", "c", "d", "e"}) {
+		t.Errorf("DistinctStrings = %v", got)
 	}
-	tbl, err := NewTable(
-		NewStringColumn("lo", append([]string{"a", "a"}, big[:MaxDictCardinality-1]...), nil),
-		NewStringColumn("hi", big, nil),
-		NewIntColumn("n", make([]int64, MaxDictCardinality+1), nil),
-	)
-	if err != nil {
+	// Bulk append through AppendRows: translated codes, fresh values next.
+	tbl := MustNewTable(c)
+	batch := MustNewTable(NewStringColumn("s", []string{"aa", "d", "", "zz", "aa"}, []bool{true, true, false, true, true}))
+	if err := tbl.AppendRows(batch); err != nil {
 		t.Fatal(err)
 	}
-	if n := tbl.EncodeDicts(); n != 1 {
-		t.Errorf("EncodeDicts() = %d, want 1 (lo encodable, hi over cap, n non-string)", n)
+	if want := []uint8{0, 1, 2, 0, 0, 3, 4, 5, 1, 0, 6, 5}; !slices.Equal(enc.Codes8(), want) {
+		t.Errorf("codes after AppendRows = %v, want %v", enc.Codes8(), want)
+	}
+	if got := c.DistinctStrings(0); !slices.Equal(got, []string{"a", "aa", "b", "c", "d", "e", "zz"}) {
+		t.Errorf("DistinctStrings after AppendRows = %v", got)
 	}
 }
 
@@ -186,8 +193,8 @@ func dictTestTable(tb testing.TB, rows int, seed int64) *Table {
 }
 
 // TestGroupIndexDictEquivalence is the group-build differential: for every key
-// shape the dictionary paths serve, the index must be IDENTICAL — group ids,
-// sizes, representatives and key bytes — to the generic string-keyed build.
+// shape the code paths serve, the index must be IDENTICAL — group ids, sizes,
+// representatives and key bytes — to a string-keyed reference build.
 func TestGroupIndexDictEquivalence(t *testing.T) {
 	tbl := dictTestTable(t, 3000, 11)
 	keySets := [][]string{
@@ -205,34 +212,32 @@ func TestGroupIndexDictEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := tbl.BuildGroupIndexGeneric(keys...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rowGID, keyStrs, repr, sizes := refGroupIndex(t, tbl, keys...)
 		name := fmt.Sprintf("%v", keys)
-		if got.NumGroups() != want.NumGroups() {
-			t.Fatalf("%s: %d groups vs generic %d", name, got.NumGroups(), want.NumGroups())
+		if got.NumGroups() != len(keyStrs) {
+			t.Fatalf("%s: %d groups vs reference %d", name, got.NumGroups(), len(keyStrs))
 		}
 		for i := 0; i < tbl.NumRows(); i++ {
-			if got.GroupOf(i) != want.GroupOf(i) {
-				t.Fatalf("%s: row %d gid %d vs generic %d", name, i, got.GroupOf(i), want.GroupOf(i))
+			if got.GroupOf(i) != rowGID[i] {
+				t.Fatalf("%s: row %d gid %d vs reference %d", name, i, got.GroupOf(i), rowGID[i])
 			}
 		}
 		for gid := 0; gid < got.NumGroups(); gid++ {
-			if got.Key(gid) != want.Key(gid) || got.Size(gid) != want.Size(gid) || got.Repr(gid) != want.Repr(gid) {
-				t.Fatalf("%s: group %d (key %q size %d repr %d) vs generic (key %q size %d repr %d)",
+			if got.Key(gid) != keyStrs[gid] || got.Size(gid) != sizes[gid] || got.Repr(gid) != repr[gid] {
+				t.Fatalf("%s: group %d (key %q size %d repr %d) vs reference (key %q size %d repr %d)",
 					name, gid, got.Key(gid), got.Size(gid), got.Repr(gid),
-					want.Key(gid), want.Size(gid), want.Repr(gid))
+					keyStrs[gid], sizes[gid], repr[gid])
 			}
 		}
 	}
 }
 
-// TestGroupIndexComboOverCap checks an all-string key-set falls back cleanly
-// when one column exceeds the dictionary cap, and still matches the generic
-// build.
+// TestGroupIndexComboOverCap checks an all-string key-set where one column
+// holds more distinct values than the counting-sort domain (1024): the combo
+// code space outgrows the dense table and hashes, and still matches the
+// reference build.
 func TestGroupIndexComboOverCap(t *testing.T) {
-	rows := MaxDictCardinality + 100
+	rows := 1024 + 100
 	big := make([]string, rows)
 	small := make([]string, rows)
 	for i := range big {
@@ -250,16 +255,13 @@ func TestGroupIndexComboOverCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tbl.BuildGroupIndexGeneric("small", "big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumGroups() != want.NumGroups() || got.NumGroups() != rows {
-		t.Fatalf("groups = %d vs generic %d, want %d", got.NumGroups(), want.NumGroups(), rows)
+	_, keyStrs, _, _ := refGroupIndex(t, tbl, "small", "big")
+	if got.NumGroups() != len(keyStrs) || got.NumGroups() != rows {
+		t.Fatalf("groups = %d vs reference %d, want %d", got.NumGroups(), len(keyStrs), rows)
 	}
 	for gid := 0; gid < rows; gid += 97 {
-		if got.Key(gid) != want.Key(gid) {
-			t.Fatalf("group %d key %q vs generic %q", gid, got.Key(gid), want.Key(gid))
+		if got.Key(gid) != keyStrs[gid] {
+			t.Fatalf("group %d key %q vs reference %q", gid, got.Key(gid), keyStrs[gid])
 		}
 	}
 }

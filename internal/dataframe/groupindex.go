@@ -21,24 +21,12 @@ type GroupIndex struct {
 // own group, matching SQL GROUP BY semantics.
 //
 // Key shapes with integer structure skip the composite string keys entirely:
-// a single int/time key hashes raw int64s, a single dictionary-encoded string
-// key indexes a dense code table, and an all-string key-set whose every
-// column carries a dictionary maps composite codes (dense when the code-space
-// product is small, a map[uint64]int otherwise). Group numbering, NULL-group
-// handling and Key(gid) bytes are identical across every path.
+// a single int/time key hashes raw int64s, a single string key indexes a
+// dense code table, and an all-string key-set maps composite codes (dense
+// when the code-space product is small, a map[uint64]int otherwise). Group
+// numbering, NULL-group handling and Key(gid) bytes are identical across
+// every path.
 func (t *Table) BuildGroupIndex(keyCols ...string) (*GroupIndex, error) {
-	return t.buildGroupIndex(true, keyCols)
-}
-
-// BuildGroupIndexGeneric is BuildGroupIndex with the dictionary-code paths
-// disabled (the single-int fast path predates them and stays). It exists for
-// the encoded-vs-unencoded differential sweeps; production callers want
-// BuildGroupIndex.
-func (t *Table) BuildGroupIndexGeneric(keyCols ...string) (*GroupIndex, error) {
-	return t.buildGroupIndex(false, keyCols)
-}
-
-func (t *Table) buildGroupIndex(useDict bool, keyCols []string) (*GroupIndex, error) {
 	cols, err := t.resolveColumns(keyCols)
 	if err != nil {
 		return nil, err
@@ -48,22 +36,17 @@ func (t *Table) buildGroupIndex(useDict bool, keyCols []string) (*GroupIndex, er
 		keys:   cols,
 		rowGID: make([]int, t.nrows),
 	}
-	if len(cols) == 1 && (cols[0].Kind() == KindInt || cols[0].Kind() == KindTime) {
+	switch {
+	case len(cols) == 1 && (cols[0].Kind() == KindInt || cols[0].Kind() == KindTime):
 		g.buildSingleInt(cols[0])
 		return g, nil
-	}
-	if useDict {
-		if len(cols) == 1 && cols[0].Kind() == KindString {
-			if enc := cols[0].Dict(); enc != nil {
-				g.buildSingleString(cols[0], enc)
-				return g, nil
-			}
-		}
-		if len(cols) > 1 {
-			if encs, ok := comboDicts(cols); ok {
-				g.buildStringCombo(cols, encs)
-				return g, nil
-			}
+	case len(cols) == 1 && cols[0].Kind() == KindString:
+		g.buildSingleString(cols[0], cols[0].dict)
+		return g, nil
+	case len(cols) > 1:
+		if encs, ok := comboDicts(cols); ok {
+			g.buildStringCombo(cols, encs)
+			return g, nil
 		}
 	}
 	ids := make(map[string]int)
@@ -118,7 +101,7 @@ func (g *GroupIndex) buildSingleInt(c *Column) {
 	}
 }
 
-// buildSingleString is the dictionary fast path for one string key column:
+// buildSingleString is the fast path for one string key column:
 // rows index a dense code->gid table (one extra slot for the NULL group)
 // instead of hashing, with the composite key string still materialised once
 // per group so Key(gid) stays byte-identical with the generic path. The loop
@@ -163,7 +146,7 @@ func buildSingleStringLanes[T uint8 | uint16 | uint32](g *GroupIndex, c *Column,
 const comboDictBound = uint64(1) << 62
 
 // comboDicts returns the dictionary of every key column when ALL of them are
-// dictionary-encoded strings and the composite code space stays within
+// strings and the composite code space stays within
 // comboDictBound; (nil, false) sends the build down the generic path.
 func comboDicts(cols []*Column) ([]*DictEncoding, bool) {
 	encs := make([]*DictEncoding, len(cols))
@@ -172,10 +155,7 @@ func comboDicts(cols []*Column) ([]*DictEncoding, bool) {
 		if c.Kind() != KindString {
 			return nil, false
 		}
-		enc := c.Dict()
-		if enc == nil {
-			return nil, false
-		}
+		enc := c.dict
 		encs[j] = enc
 		slots := uint64(enc.Cardinality() + 1) // +1 for the NULL slot
 		if space > comboDictBound/slots {
@@ -298,10 +278,10 @@ func (g *GroupIndex) newGroup(i int, c *Column) int {
 // the build (or the last Extend), assigning new composite keys fresh group
 // ids in first-seen order. Because every build path numbers groups in
 // first-seen order and materialises identical Key(gid) bytes, an extended
-// index is identical to one rebuilt from scratch over the grown table — for
-// any build path, including after a dictionary re-encode (extension keys on
-// composite values, not codes). The first Extend re-derives a key→gid map
-// from keyStrs (O(groups)); later calls pay O(delta). Must run under the
+// index is identical to one rebuilt from scratch over the grown table, for
+// any build path (extension keys on composite values, not codes). The first
+// Extend re-derives a key→gid map from keyStrs (O(groups)); later calls pay
+// O(delta). Must run under the
 // table's mutation contract (no concurrent scans).
 func (g *GroupIndex) Extend() {
 	n := g.src.nrows

@@ -6,7 +6,7 @@ import (
 )
 
 // refGroupIndex is the generic string-keyed grouping algorithm, kept inline
-// as the reference the single-int-key fast path must match exactly.
+// as the reference the int- and string-code fast paths must match exactly.
 func refGroupIndex(t *testing.T, tbl *Table, keys ...string) (rowGID []int, keyStrs []string, repr, sizes []int) {
 	t.Helper()
 	cols := make([]*Column, len(keys))

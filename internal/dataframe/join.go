@@ -58,44 +58,11 @@ func (t *Table) LeftJoin(right *Table, leftOn, rightOn []string) (*Table, error)
 		if out.HasColumn(name) {
 			name += "_r"
 		}
-		if err := out.AddColumn(takeWithMisses(rc, match).Rename(name)); err != nil {
+		if err := out.AddColumn(rc.take(match).Rename(name)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// takeWithMisses is Take but a -1 index yields NULL.
-func takeWithMisses(c *Column, idx []int) *Column {
-	out := &Column{name: c.name, kind: c.kind, valid: make([]bool, len(idx))}
-	switch c.kind {
-	case KindInt, KindTime:
-		out.ints = make([]int64, len(idx))
-	case KindFloat:
-		out.floats = make([]float64, len(idx))
-	case KindString:
-		out.strs = make([]string, len(idx))
-		out.dict = &dictLazy{}
-	case KindBool:
-		out.bools = make([]bool, len(idx))
-	}
-	for j, i := range idx {
-		if i < 0 {
-			continue // stays NULL / zero
-		}
-		out.valid[j] = c.valid[i]
-		switch c.kind {
-		case KindInt, KindTime:
-			out.ints[j] = c.ints[i]
-		case KindFloat:
-			out.floats[j] = c.floats[i]
-		case KindString:
-			out.strs[j] = c.strAt(i)
-		case KindBool:
-			out.bools[j] = c.bools[i]
-		}
-	}
-	return out
 }
 
 // InnerJoin joins t with right keeping only matching rows; like LeftJoin it

@@ -4,9 +4,9 @@ package dataframe
 // a table — the granularity at which the query engine runs its scans: each
 // full-table pass walks the table morsel by morsel, checking cancellation and
 // bumping scan counters at every boundary. Column accessors serve a morsel
-// zero-copy: the bulk slices (FloatData, IntData, StrData, BoolData,
-// ValidData) subslice to [lo:hi] without copying, so a morsel is pure
-// bookkeeping.
+// zero-copy: the bulk slices (FloatData, IntData, BoolData, ValidData, and a
+// string column's dictionary codes) subslice to [lo:hi] without copying, so a
+// morsel is pure bookkeeping.
 
 // DefaultMorselRows is the default morsel size. Large enough that per-morsel
 // bookkeeping (a counter bump and a cancellation check) is noise, small enough

@@ -322,33 +322,43 @@ func (t *Table) SortBy(name string) (*Table, error) {
 			return va < vb
 		})
 	case c.kind == KindString:
-		if c.compact {
-			// Codes rank in domain order and the domain is sorted, so code
-			// compares give the exact string order without materialising.
-			codes := c.dict.enc.codes
-			sort.SliceStable(idx, func(a, b int) bool {
-				ia, ib := idx[a], idx[b]
-				if c.valid[ia] != c.valid[ib] {
-					return c.valid[ia]
-				}
-				return codes[ia] < codes[ib]
-			})
-			break
-		}
+		// Ranks order codes by value, so rank compares give the exact string
+		// order without decoding.
+		codes, rank := c.dict.codes, c.dict.rank
 		sort.SliceStable(idx, func(a, b int) bool {
 			ia, ib := idx[a], idx[b]
 			if c.valid[ia] != c.valid[ib] {
 				return c.valid[ia]
 			}
 			if !c.valid[ia] {
-				return false // NULL rows are unreadable: keep input order
+				return false // NULL rows keep input order
 			}
-			return c.strs[ia] < c.strs[ib]
+			return rank[codes[ia]] < rank[codes[ib]]
 		})
 	default:
 		return nil, fmt.Errorf("dataframe: cannot sort by %s column %q", c.kind, name)
 	}
 	return t.Take(idx), nil
+}
+
+// ColumnMemory is one row of Table.MemBytes's per-column breakdown.
+type ColumnMemory struct {
+	Name  string
+	Kind  Kind
+	Bytes int64
+}
+
+// MemBytes returns the table's estimated resident bytes and a per-column
+// breakdown, the observability hook behind cmd/feataug -v's bytes/row line
+// and feataugd's table_bytes stat.
+func (t *Table) MemBytes() (total int64, cols []ColumnMemory) {
+	cols = make([]ColumnMemory, 0, len(t.cols))
+	for _, c := range t.cols {
+		b := c.MemBytes()
+		total += b
+		cols = append(cols, ColumnMemory{Name: c.name, Kind: c.kind, Bytes: b})
+	}
+	return total, cols
 }
 
 // RowKey builds the composite group/join key for a row over the given

@@ -30,15 +30,14 @@ func stringHeavyDomain(prefix string, n int) []string {
 	return out
 }
 
-// StringHeavy is the compact-storage scale scenario (PR 10): an event log
-// where five of the eight relevant columns are strings, so the []string
-// backings dominate the table's footprint. The relevant table is built with
-// WithCompactStrings — dictionary codes are its primary storage and the raw
-// []string arrays never survive construction. At the 10⁷-row scale the
-// benchmarks use (TrainRows=250000, LogsPerKey=40), the raw layout needs
-// roughly 16 header bytes per string cell (~640 MB across the string columns
-// alone) while the compact layout stores one narrow code per cell, which is
-// what lets the scenario fit CI memory at all.
+// StringHeavy is the string-storage scale scenario: an event log where five
+// of the eight relevant columns are strings. String columns are stored as
+// dictionary codes (see dataframe.DictEncoding), so no []string array
+// survives construction. At the 10⁷-row scale the benchmarks use
+// (TrainRows=250000, LogsPerKey=40), a []string layout would need roughly 16
+// header bytes per string cell (~640 MB across the string columns alone),
+// while the code layout stores one narrow code per cell, which is what lets
+// the scenario fit CI memory at all.
 //
 // Planted signal: each user's latent propensity drives the rate of "order"
 // events arriving through the "app" channel, so the discriminative query is
@@ -112,7 +111,7 @@ func StringHeavy(opts Options) *Dataset {
 		dataframe.NewIntColumn("visits", visits, nil),
 		dataframe.NewIntColumn("label", labels, nil),
 	)
-	relevant, err := dataframe.NewTableOpts([]*dataframe.Column{
+	relevant, err := dataframe.NewTable(
 		dataframe.NewIntColumn("user_id", lUser, nil),
 		dataframe.NewStringColumn("event", lEvent, nil),
 		dataframe.NewStringColumn("channel", lChannel, nil),
@@ -121,7 +120,7 @@ func StringHeavy(opts Options) *Dataset {
 		dataframe.NewStringColumn("sku_family", lSKU, nil),
 		dataframe.NewFloatColumn("spend", lSpend, nil),
 		dataframe.NewTimeColumn("ts", lTS, nil),
-	}, dataframe.WithCompactStrings())
+	)
 	if err != nil {
 		// Cannot happen: columns are equal-length by construction.
 		panic(err)

@@ -16,18 +16,15 @@ func TestStringHeavyCompactByConstruction(t *testing.T) {
 	if gen, err := ByName("stringheavy"); err != nil || gen == nil {
 		t.Fatalf("ByName(stringheavy): %v", err)
 	}
-	// Every string column must be code-backed from construction: compact
-	// codes ARE the storage, there is no []string to fall back on.
+	// Every string column is code-backed from construction: the codes ARE
+	// the storage.
 	for _, name := range []string{"event", "channel", "country", "device", "sku_family"} {
 		c := d.Relevant.Column(name)
 		if c == nil || c.Kind() != dataframe.KindString {
 			t.Fatalf("column %q missing or not string", name)
 		}
-		if !c.IsCompact() {
-			t.Errorf("column %q is not compact", name)
-		}
-		if c.StrData() != nil {
-			t.Errorf("column %q still carries a []string backing", name)
+		if enc := c.Dict(); enc == nil || enc.NumRows() != c.Len() {
+			t.Errorf("column %q is not code-backed", name)
 		}
 	}
 	// sku_family crosses 255 distinct values so the uint16 lane is in play.

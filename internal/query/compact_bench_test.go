@@ -14,16 +14,10 @@ import (
 
 // compactBenchPool is the BENCH_10 workload: the BENCH_8 string-predicate
 // pool with half the aggregates switched to filtered COUNTs (the paper's
-// headline query shape — COUNT WHERE pred GROUP BY key), served from two
-// tables holding identical rows: one compact (dictionary codes are the
-// storage, no []string survives) and one raw (the PR 8 dict-on-demand
-// baseline). Seeds are fixed so snapshots are comparable across commits.
-func compactBenchPool(tb testing.TB, nQueries, nRows int) (compact, raw *dataframe.Table, qs []Query) {
-	raw, qs = dictBenchPool(nQueries, nRows)
-	compact, _ = dictBenchPool(nQueries, nRows)
-	if compact.Compact() == 0 {
-		tb.Fatal("benchmark table did not compact")
-	}
+// headline query shape — COUNT WHERE pred GROUP BY key). Seeds are fixed so
+// snapshots are comparable across commits.
+func compactBenchPool(nQueries, nRows int) (*dataframe.Table, []Query) {
+	r, qs := dictBenchPool(nQueries, nRows)
 	// Scan-bound aggregates only: filtered COUNTs and numeric reductions.
 	// BENCH_8 already covers the string-aggregation mix; BENCH_10 measures
 	// the predicate/scan side the SWAR kernels accelerate.
@@ -35,15 +29,15 @@ func compactBenchPool(tb testing.TB, nQueries, nRows int) (compact, raw *datafra
 			qs[i].Agg, qs[i].AggAttr = numAggs[(i/2)%len(numAggs)], "x"
 		}
 	}
-	return compact, raw, qs
+	return r, qs
 }
 
-// BenchmarkStringHeavyCompactSwar is the BENCH_10 headline: compact storage
-// with the word-parallel kernels on, a cold executor per iteration. String
+// BenchmarkStringHeavyCompactSwar is the BENCH_10 headline: code storage
+// with the word-parallel kernels, a cold executor per iteration. String
 // equalities resolve 8 (uint8 lanes) or 4 (uint16 lanes) rows per 64-bit
 // word and filtered COUNTs come straight out of the plan's group counts.
 func BenchmarkStringHeavyCompactSwar(b *testing.B) {
-	compact, _, qs := compactBenchPool(b, 200, 2400)
+	compact, qs := compactBenchPool(200, 2400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := NewExecutor(compact)
@@ -52,68 +46,6 @@ func BenchmarkStringHeavyCompactSwar(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkStringHeavyCompactNoSwar is the same compact workload with
-// DisableCompactStrings forcing the scalar per-row code kernels — isolating
-// the word-parallel win from the storage change.
-func BenchmarkStringHeavyCompactNoSwar(b *testing.B) {
-	compact, _, qs := compactBenchPool(b, 200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(compact)
-		ex.DisableCompactStrings = true
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkStringHeavyDictBaseline runs the same query mix against the raw
-// table through the PR 8 path (strings resident, dictionaries built on
-// demand) — the baseline the compact numbers are read against.
-func BenchmarkStringHeavyDictBaseline(b *testing.B) {
-	_, raw, qs := compactBenchPool(b, 200, 2400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(raw)
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(qs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkStringHeavyCompactSpeedup pairs the new configuration (compact
-// storage, SWAR kernels) against the PR 8 path (raw strings resident, scalar
-// code kernels via DisableCompactStrings) on the same cold batches in the
-// same loop, so machine drift cancels out of the ratio. Compact storage
-// itself is throughput-neutral by design — the code kernels read the same
-// narrow arrays either way — so this ratio isolates the word-parallel scan
-// win at the batch level; the kernel-level ratio is pinned separately below.
-func BenchmarkStringHeavyCompactSpeedup(b *testing.B) {
-	compact, raw, qs := compactBenchPool(b, 200, 2400)
-	var tNew, tOld time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := NewExecutor(compact)
-		t0 := time.Now()
-		if _, err := ex.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		tNew += time.Since(t0)
-		old := NewExecutor(raw)
-		old.DisableCompactStrings = true
-		t1 := time.Now()
-		if _, err := old.ExecuteBatch(qs, "feature"); err != nil {
-			b.Fatal(err)
-		}
-		tOld += time.Since(t1)
-	}
-	if tNew > 0 {
-		b.ReportMetric(tOld.Seconds()/tNew.Seconds(), "speedup_swar_vs_pr8")
-	}
 }
 
 // BenchmarkSwarKernelSpeedup pins the kernels themselves on a 2²⁰-code
@@ -164,44 +96,6 @@ func BenchmarkSwarKernelSpeedup(b *testing.B) {
 	}
 }
 
-// rawRematerialized rebuilds a table with []string backings from a compact
-// one and builds its dictionaries, reproducing the PR 8 steady state (strings
-// AND encodings resident) for a memory comparison over identical rows.
-func rawRematerialized(tb testing.TB, t *dataframe.Table) *dataframe.Table {
-	var cols []*dataframe.Column
-	for _, c := range t.Columns() {
-		n := c.Len()
-		valid := append([]bool(nil), c.ValidData()...)
-		switch c.Kind() {
-		case dataframe.KindString:
-			strs := make([]string, n)
-			for i := 0; i < n; i++ {
-				if valid[i] {
-					strs[i] = c.Str(i)
-				}
-			}
-			cols = append(cols, dataframe.NewStringColumn(c.Name(), strs, valid))
-		case dataframe.KindInt:
-			cols = append(cols, dataframe.NewIntColumn(c.Name(), append([]int64(nil), c.IntData()...), valid))
-		case dataframe.KindTime:
-			cols = append(cols, dataframe.NewTimeColumn(c.Name(), append([]int64(nil), c.IntData()...), valid))
-		case dataframe.KindFloat:
-			cols = append(cols, dataframe.NewFloatColumn(c.Name(), append([]float64(nil), c.FloatData()...), valid))
-		case dataframe.KindBool:
-			cols = append(cols, dataframe.NewBoolColumn(c.Name(), append([]bool(nil), c.BoolData()...), valid))
-		default:
-			tb.Fatalf("unhandled kind %v", c.Kind())
-		}
-	}
-	out := dataframe.MustNewTable(cols...)
-	for _, c := range out.Columns() {
-		if c.Kind() == dataframe.KindString {
-			c.Dict()
-		}
-	}
-	return out
-}
-
 // stringHeavyQueries is the filtered-COUNT batch the datagen scenario plants
 // its signal for, plus spend aggregates over the same masks.
 func stringHeavyQueries() []Query {
@@ -220,17 +114,14 @@ func stringHeavyQueries() []Query {
 	return qs
 }
 
-// BenchmarkStringHeavyMemBytes pins the storage win on the datagen scenario
-// at mid scale: bytes/row for the compact relevant table vs the same rows
-// rematerialized into the PR 8 raw-plus-encoding layout. The acceptance bar
-// is mem_reduction ≥ 2×.
+// BenchmarkStringHeavyMemBytes pins the storage cost on the datagen scenario
+// at mid scale: resident bytes/row of the relevant table, whose string
+// columns are dictionary codes.
 func BenchmarkStringHeavyMemBytes(b *testing.B) {
 	d := datagen.StringHeavy(datagen.Options{TrainRows: 20000, LogsPerKey: 20, Seed: 1})
 	compact := d.Relevant
-	raw := rawRematerialized(b, compact)
 	rows := float64(compact.NumRows())
 	cBytes, _ := compact.MemBytes()
-	rBytes, _ := raw.MemBytes()
 	qs := stringHeavyQueries()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -240,8 +131,6 @@ func BenchmarkStringHeavyMemBytes(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(cBytes)/rows, "bytes/row")
-	b.ReportMetric(float64(rBytes)/rows, "raw_bytes/row")
-	b.ReportMetric(float64(rBytes)/float64(cBytes), "mem_reduction")
 }
 
 // The 10⁷-row table is built once and shared across iterations: the point of
@@ -254,7 +143,7 @@ var (
 )
 
 // BenchmarkStringHeavy10M runs the filtered-COUNT batch over the 10⁷-row
-// compact string-heavy log and reports resident bytes/row plus the process
+// code-backed string-heavy log and reports resident bytes/row plus the process
 // peak RSS. Run with -benchtime=1x: one build, one measured batch.
 func BenchmarkStringHeavy10M(b *testing.B) {
 	stringHeavy10MOnce.Do(func() {

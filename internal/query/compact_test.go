@@ -3,28 +3,32 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/dataframe"
 )
 
-// compacted switches every eligible string column of a fresh table to
-// code-backed storage and asserts at least one column actually compacted, so
-// a sweep can never silently run raw-vs-raw.
-func compacted(t *testing.T, tbl *dataframe.Table) *dataframe.Table {
+// oracleBatch evaluates every query through the Query.Execute reference
+// oracle.
+func oracleBatch(t *testing.T, r *dataframe.Table, qs []Query) []*dataframe.Table {
 	t.Helper()
-	if n := tbl.Compact(); n == 0 {
-		t.Fatal("Compact() compacted no columns; sweep would be vacuous")
+	out := make([]*dataframe.Table, len(qs))
+	for i, q := range qs {
+		res, err := q.Execute(r, "feature")
+		if err != nil {
+			t.Fatalf("oracle %s: %v", q.SQL("r"), err)
+		}
+		out[i] = res
 	}
-	return tbl
+	return out
 }
 
-// TestDifferentialCompactStrings is the compact-storage contract: a table
-// whose string columns are code-backed (no []string), queried with the SWAR
-// kernels on (default) and off (DisableCompactStrings), must match a raw
-// unencoded executor bit for bit — across mixed and NULL-heavy tables and
-// morsel sizes {1, 7}.
+// TestDifferentialCompactStrings is the code-storage contract: string
+// columns are dictionary codes (no []string), and the executor's code and
+// word-parallel kernels must match the Query.Execute oracle bit for bit —
+// across mixed and NULL-heavy tables and morsel sizes {1, 7, default}.
 func TestDifferentialCompactStrings(t *testing.T) {
 	builders := map[string]func(int, int64) *dataframe.Table{
 		"mixed":     largeRandomTable,
@@ -41,65 +45,43 @@ func TestDifferentialCompactStrings(t *testing.T) {
 				Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
 					Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "a"}}},
 			)
-			ref := NewExecutor(build(500, 102))
-			ref.DisableDictEncoding = true
-			want, err := ref.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracleBatch(t, build(500, 102), qs)
 			for _, morsel := range []int{1, 7, 0} {
-				for _, disableSwar := range []bool{false, true} {
-					tbl := compacted(t, build(500, 102))
-					opts := []ExecutorOption{}
-					if morsel > 0 {
-						opts = append(opts, WithMorselRows(morsel))
-					}
-					e := NewExecutor(tbl, opts...)
-					e.DisableCompactStrings = disableSwar
-					got, err := e.ExecuteBatch(qs, "feature")
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("morsel=%d swar=%v", morsel, !disableSwar)
-					for i, q := range qs {
-						sameTable(t, label+" "+q.SQL("r"), got[i], want[i])
-					}
-					// In-domain work must leave the columns compact.
-					for _, cn := range []string{"k2", "cat"} {
-						if !tbl.Column(cn).IsCompact() {
-							t.Errorf("%s: column %q lost compact storage during the batch", label, cn)
-						}
-					}
-					st := e.Stats()
-					if disableSwar {
-						if st.SwarPredScans != 0 {
-							t.Errorf("%s: SwarPredScans = %d, want 0 with the knob set", label, st.SwarPredScans)
-						}
-					} else if st.SwarPredScans == 0 {
-						t.Errorf("%s: SwarPredScans = 0, want > 0 (narrow code columns present)", label)
-					}
+				opts := []ExecutorOption{}
+				if morsel > 0 {
+					opts = append(opts, WithMorselRows(morsel))
+				}
+				e := NewExecutor(build(500, 102), opts...)
+				got, err := e.ExecuteBatch(qs, "feature")
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("morsel=%d", morsel)
+				for i, q := range qs {
+					sameTable(t, label+" "+q.SQL("r"), got[i], want[i])
+				}
+				if e.Stats().SwarPredScans == 0 {
+					t.Errorf("%s: SwarPredScans = 0, want > 0 (narrow code columns present)", label)
 				}
 			}
 		})
 	}
 }
 
-// TestDifferentialCompactDelta sweeps the PR 9 append modes over a COMPACT
-// base table: in-domain deltas keep the columns compact; a dict-shifting or
-// cap-crossing delta rematerialises the strings first and then follows the
-// raw fallback — in every case results must equal a fresh raw executor over
-// the concatenated rows.
+// TestDifferentialCompactDelta sweeps the append modes over a code-backed
+// base table: in-domain, NULL-heavy, mid-domain and past-1024-values deltas
+// must each leave every existing row's code unchanged, and results must equal
+// the Query.Execute oracle over the concatenated rows.
 func TestDifferentialCompactDelta(t *testing.T) {
 	scenarios := []struct {
-		name         string
-		mode         string
-		sizes        []int
-		staysCompact bool // cat column still compact after the appends
+		name  string
+		mode  string
+		sizes []int
 	}{
-		{"mixed", "mixed", []int{48, 1, 7}, true},
-		{"null-heavy", "nulls", []int{7, 64}, true},
-		{"dict-shift", "dictshift", []int{1, 7}, false},
-		{"dict-cap", "dictcap", []int{1100}, false},
+		{"mixed", "mixed", []int{48, 1, 7}},
+		{"null-heavy", "nulls", []int{7, 64}},
+		{"dict-shift", "dictshift", []int{1, 7}},
+		{"dict-cap", "dictcap", []int{1100}},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -108,9 +90,10 @@ func TestDifferentialCompactDelta(t *testing.T) {
 			seed := int64(1200)
 			qs := deltaQueryPool(t, deltaTable(nBase, seed), 50, seed+1)
 
-			base := compacted(t, deltaTable(nBase, seed))
+			base := deltaTable(nBase, seed)
 			exDelta := NewExecutor(base, WithMorselRows(64))
 			parts := []*dataframe.Table{deltaTable(nBase, seed)}
+			catCodes := slices.Clone(base.Column("cat").Dict().Codes())
 
 			check := func(round string) {
 				got, err := exDelta.ExecuteBatch(qs, "feature")
@@ -121,12 +104,7 @@ func TestDifferentialCompactDelta(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", round, err)
 				}
-				fresh := NewExecutor(ref, WithMorselRows(64))
-				fresh.DisableDictEncoding = true
-				want, err := fresh.ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatalf("%s: %v", round, err)
-				}
+				want := oracleBatch(t, ref, qs)
 				for i, q := range qs {
 					sameTable(t, fmt.Sprintf("%s %s", round, q.SQL("r")), got[i], want[i])
 				}
@@ -142,54 +120,27 @@ func TestDifferentialCompactDelta(t *testing.T) {
 				check(fmt.Sprintf("append %d (+%d rows)", bi, size))
 				check(fmt.Sprintf("append %d warm", bi))
 			}
-			if got := base.Column("cat").IsCompact(); got != sc.staysCompact {
-				t.Errorf("cat compact after %s appends = %v, want %v (rematerialise on dict fallback)",
-					sc.mode, got, sc.staysCompact)
-			}
-			// k2 only ever sees in-domain values: compact throughout.
-			if !base.Column("k2").IsCompact() {
-				t.Error("k2 lost compact storage under in-domain appends")
+			if got := base.Column("cat").Dict().Codes()[:nBase]; !slices.Equal(got, catCodes) {
+				t.Errorf("%s appends changed existing cat codes", sc.mode)
 			}
 		})
 	}
 }
 
-// TestDifferentialCompactConcat checks query results over spliced compact
-// tables: concatenating compact parts sharing one domain keeps the output
-// compact (code-splice fast path) and queries over it must match a raw
-// executor over the same rows.
+// TestDifferentialCompactConcat checks query results over concatenated
+// tables: parts built separately (each with its own first-seen code order)
+// plus a Take of the first (sharing its domain, so its codes splice
+// unchanged) must match the Query.Execute oracle over the same rows.
 func TestDifferentialCompactConcat(t *testing.T) {
-	partsRaw := []*dataframe.Table{
-		largeRandomTable(300, 140),
-		largeRandomTable(200, 141),
-		largeRandomTable(100, 142),
-	}
-	var partsCompact []*dataframe.Table
-	for i := range partsRaw {
-		pc := compacted(t, largeRandomTable([]int{300, 200, 100}[i], int64(140+i)))
-		partsCompact = append(partsCompact, pc)
-	}
-	refTbl, err := dataframe.Concat(partsRaw...)
+	first := largeRandomTable(300, 140)
+	gotTbl, err := dataframe.Concat(first, largeRandomTable(200, 141), largeRandomTable(100, 142),
+		first.Take([]int{299, 0, 150, 7}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	gotTbl, err := dataframe.Concat(partsCompact...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same 8-value cat domain in every seed: the splice fast path applies and
-	// the output must still be compact.
-	if !gotTbl.Column("cat").IsCompact() || !gotTbl.Column("k2").IsCompact() {
-		t.Error("Concat of compact same-domain parts lost compact storage")
 	}
 	rng := rand.New(rand.NewSource(143))
 	qs := randomPool(rng, 80)
-	ref := NewExecutor(refTbl)
-	ref.DisableDictEncoding = true
-	want, err := ref.ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleBatch(t, gotTbl, qs)
 	got, err := NewExecutor(gotTbl).ExecuteBatch(qs, "feature")
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +150,11 @@ func TestDifferentialCompactConcat(t *testing.T) {
 	}
 }
 
-// TestCompactStatsGolden pins the new counters on fixed workloads so the
-// accounting cannot drift: every narrow code-kernel bitmap is a SWAR scan
-// (SwarPredScans ⊆ CodePredScans), the knob zeroes it without touching
-// CodePredScans, and a single-query COUNT is served with no value pass.
+// TestCompactStatsGolden pins the code-kernel counters on fixed workloads so
+// the accounting cannot drift: every narrow code-kernel bitmap is a SWAR scan
+// (SwarPredScans ⊆ CodePredScans), a string column wider than the uint16
+// lane runs the scalar kernel, and a single-query COUNT is served with no
+// value pass.
 func TestCompactStatsGolden(t *testing.T) {
 	qs := []Query{
 		{Agg: agg.Count, AggAttr: "x", Keys: []string{"k2"},
@@ -210,7 +162,7 @@ func TestCompactStatsGolden(t *testing.T) {
 		{Agg: agg.Sum, AggAttr: "x", Keys: []string{"k2"},
 			Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "b"}}},
 	}
-	e := NewExecutor(compacted(t, largeRandomTable(300, 91)))
+	e := NewExecutor(largeRandomTable(300, 91))
 	if _, err := e.ExecuteBatch(qs, "feature"); err != nil {
 		t.Fatal(err)
 	}
@@ -220,35 +172,38 @@ func TestCompactStatsGolden(t *testing.T) {
 			st.CodePredScans, st.SwarPredScans)
 	}
 
-	off := NewExecutor(compacted(t, largeRandomTable(300, 91)))
-	off.DisableCompactStrings = true
-	if _, err := off.ExecuteBatch(qs, "feature"); err != nil {
-		t.Fatal(err)
+	// A 70000-value column keeps only its uint32 codes: the scalar kernel.
+	n := 70000
+	wide := make([]string, n)
+	k := make([]int64, n)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("w%05d", i)
+		k[i] = int64(i % 7)
 	}
-	sto := off.Stats()
-	if sto.CodePredScans != 2 || sto.SwarPredScans != 0 {
-		t.Errorf("knob executor CodePredScans/SwarPredScans = %d/%d, want 2/0",
-			sto.CodePredScans, sto.SwarPredScans)
-	}
-
-	// Single-query COUNT: served from the plan's group counts
-	// (CountOnlyQueries) with or without the knob, and identical to the
-	// Query.Execute oracle.
-	cq := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"},
-		Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "c"}}}
-	want, err := cq.Execute(compacted(t, largeRandomTable(300, 91)), "feature")
+	wt := dataframe.MustNewTable(dataframe.NewIntColumn("k", k, nil), dataframe.NewStringColumn("w", wide, nil))
+	wq := Query{Agg: agg.Count, AggAttr: "w", Keys: []string{"k"},
+		Preds: []Predicate{{Attr: "w", Kind: PredEq, StrValue: "w06999"}}}
+	we := NewExecutor(wt)
+	got, err := we.Execute(wq, "feature")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ex := range []*Executor{e, off} {
-		before := ex.Stats().CountOnlyQueries
-		got, err := ex.Execute(cq, "feature")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := ex.Stats().CountOnlyQueries - before; n != 1 {
-			t.Errorf("DisableCompactStrings=%v: CountOnlyQueries rose by %d, want 1", ex.DisableCompactStrings, n)
-		}
-		sameTable(t, cq.SQL("r"), got, want)
+	if st := we.Stats(); st.CodePredScans != 1 || st.SwarPredScans != 0 {
+		t.Errorf("wide column CodePredScans/SwarPredScans = %d/%d, want 1/0", st.CodePredScans, st.SwarPredScans)
 	}
+	sameTable(t, wq.SQL("r"), got, oracleBatch(t, wt, []Query{wq})[0])
+
+	// Single-query COUNT: served from the plan's group counts
+	// (CountOnlyQueries), and identical to the Query.Execute oracle.
+	cq := Query{Agg: agg.Count, AggAttr: "x", Keys: []string{"k1"},
+		Preds: []Predicate{{Attr: "cat", Kind: PredEq, StrValue: "c"}}}
+	before := e.Stats().CountOnlyQueries
+	got, err = e.Execute(cq, "feature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Stats().CountOnlyQueries - before; n != 1 {
+		t.Errorf("CountOnlyQueries rose by %d, want 1", n)
+	}
+	sameTable(t, cq.SQL("r"), got, oracleBatch(t, largeRandomTable(300, 91), []Query{cq})[0])
 }

@@ -8,9 +8,10 @@ package query
 // the identical ascending segment in O(len + distinct·log distinct) with no
 // comparisons. A cardinality probe runs once per (executor, column) and is
 // cached; eligible attributes are selected per attrScan. Eligibility is
-// restricted to domains whose values round-trip exactly through float64
-// (strings via a dictionary; int/time/bool with a small range and |value| ≤
-// 2³¹), so rewritten segments are bit-identical to the sorted originals.
+// restricted to domains whose values round-trip exactly (strings through
+// their dictionary's rank order; int/time/bool with a small range and
+// |value| ≤ 2³¹), so rewritten segments are bit-identical to the sorted
+// originals.
 
 import (
 	"slices"
@@ -19,11 +20,10 @@ import (
 	"repro/internal/dataframe"
 )
 
-// maxCountingDomain bounds the code domain (distinct strings, or the numeric
-// range width) the counting path accepts; larger domains fall back to the
-// comparison sort. It equals the dictionary cardinality cap, so a string
-// column is counting-eligible exactly when it carries a dictionary.
-const maxCountingDomain = dataframe.MaxDictCardinality
+// maxCountingDomain bounds the code domain (dictionary cardinality, or the
+// numeric range width) the counting path accepts; larger domains fall back to
+// the comparison sort, whose cost does not grow with the domain.
+const maxCountingDomain = 1024
 
 // maxCountingAbs bounds |value| for numeric domains so float64(base+code)
 // reconstructs the column's float view bit for bit.
@@ -37,12 +37,11 @@ const maxExactIntAbs = int64(1) << 53
 // All fields are read-only after the once completes, except under the core's
 // epoch fence, where advance absorbs appended rows (see delta.go).
 type domainEntry struct {
-	once  sync.Once
-	ok    bool     // eligible for the counting path
-	k     int      // code domain size: codes are 0..k-1
-	base  int64    // numeric columns: code = int64(value) - base
-	svals []string // string columns: distinct values ascending; code = rank
-	codes []uint32 // string columns: per-row code (the dictionary's, shared)
+	once sync.Once
+	ok   bool                    // eligible for the counting path
+	k    int                     // code domain size: codes are 0..k-1
+	base int64                   // numeric columns: code = int64(value) - base
+	enc  *dataframe.DictEncoding // string columns: code = rank of the dictionary code
 
 	// Integer predicate-kernel state (int/time columns; see dict.go). intOK
 	// marks every value within maxExactIntAbs, so integer compares against
@@ -156,15 +155,11 @@ func (ent *domainEntry) probe(col *dataframe.Column) {
 			}
 		}
 	case dataframe.KindString:
-		// The dictionary (dict.go) is the probe: its cardinality cap equals
-		// maxCountingDomain, its values are already sorted and its codes are
-		// the per-row ranks — shared, not re-derived.
-		enc := col.Dict()
-		if enc == nil || enc.Cardinality() == 0 {
-			return
-		}
-		ent.ok, ent.k = true, enc.Cardinality()
-		ent.svals, ent.codes = enc.Values(), enc.Codes()
+		// The dictionary is the probe: the counting scan reads its codes
+		// through the rank array, which orders them by value.
+		ent.enc = col.Dict()
+		k := ent.enc.Cardinality()
+		ent.ok, ent.k = k > 0 && k <= maxCountingDomain, k
 	}
 }
 
@@ -172,7 +167,6 @@ func (ent *domainEntry) probe(col *dataframe.Column) {
 // has already fired and stays fired).
 func (ent *domainEntry) reset() {
 	ent.ok, ent.k, ent.base = false, 0, 0
-	ent.svals, ent.codes = nil, nil
 	ent.intOK, ent.seen, ent.nrows = false, false, 0
 	ent.mn, ent.mx = 0, 0
 	ent.ivals, ent.vbits = nil, nil
@@ -277,16 +271,9 @@ func (ent *domainEntry) advance(col *dataframe.Column) {
 			}
 		}
 	case dataframe.KindString:
-		// The dictionary IS the probe: re-point at the (possibly re-encoded or
-		// dropped) current encoding, exactly as a fresh probe would read it.
-		enc := col.Dict()
-		if enc == nil || enc.Cardinality() == 0 {
-			ent.ok, ent.k = false, 0
-			ent.svals, ent.codes = nil, nil
-		} else {
-			ent.ok, ent.k = true, enc.Cardinality()
-			ent.svals, ent.codes = enc.Values(), enc.Codes()
-		}
+		// The append grew the dictionary in place: re-read its cardinality,
+		// exactly as a fresh probe would.
+		ent.probe(col)
 	}
 	ent.nrows = n
 }
@@ -328,13 +315,14 @@ func (as *attrScan) countingSortFloats(seg []float64, base int64, k int) {
 }
 
 // countingFillStrings writes one group's string segment ascending from its
-// scattered codes: count the segment's codes, then emit each distinct value's
-// run in rank order — the exact output slices.Sort would produce over the
-// scattered strings, with int32 moves instead of string compares.
-func (as *attrScan) countingFillStrings(dst []string, codeSeg []uint32, svals []string, k int) {
+// scattered ranks: count the segment's ranks, then emit each distinct value's
+// run in rank order (value values[sorted[rank]]) — the exact output
+// slices.Sort would produce over the scattered strings, with int32 moves
+// instead of string compares.
+func (as *attrScan) countingFillStrings(dst []string, rankSeg []uint32, values []string, sorted []uint32, k int) {
 	cnt := as.countScratch(k)
 	touched := as.touched[:0]
-	for _, c := range codeSeg {
+	for _, c := range rankSeg {
 		if cnt[c] == 0 {
 			touched = append(touched, int32(c))
 		}
@@ -343,7 +331,7 @@ func (as *attrScan) countingFillStrings(dst []string, codeSeg []uint32, svals []
 	slices.Sort(touched)
 	w := 0
 	for _, c := range touched {
-		s := svals[c]
+		s := values[sorted[c]]
 		for n := cnt[c]; n > 0; n-- {
 			dst[w] = s
 			w++

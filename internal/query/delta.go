@@ -1,23 +1,24 @@
 package query
 
-// Delta cache maintenance (PR 9). Tables are append-only mutable
+// Delta cache maintenance. Tables are append-only mutable
 // (dataframe.Table.AppendRows bumps a monotone epoch); this file teaches the
 // whole cache stack to ADVANCE over just the appended rows instead of
-// rebuilding, with results bit-identical to a full recompute — the
+// rebuilding, with results bit-identical to a full recompute: the
 // differential suite sweeps append sizes, NULL densities, new-group and
-// dictionary-crossing deltas against DisableDeltaMaintenance and against
-// fresh executors to enforce it.
+// new-string-value deltas against the Query.Execute oracle and
+// DisableDeltaMaintenance to enforce it. String codes never shift on append
+// (dataframe assigns them in first-seen order), so no code-keyed entry ever
+// goes stale: every advance is a tail extension.
 //
 // Synchronisation is the core's epoch fence (tableCore.fence): every scan
 // entry point takes it in read mode for the whole pass, appends and advances
 // take it in write mode, so scans never observe a half-appended table or
 // half-advanced entries. Advance is two-layered, matching cache ownership:
 //
-//	core     dictionaries re-pointed (a re-encode that shifted codes wipes
-//	         the code-keyed predicate/mask maps), domain probes merged,
-//	         float views extended, group indexes extended, predicate bitmaps
-//	         recomputed from their last partial word, mask bitmaps/row lists
-//	         re-intersected over the same tail, identity rows grown;
+//	core     domain probes merged, float views extended, group indexes
+//	         extended, predicate bitmaps recomputed from their last partial
+//	         word, mask bitmaps/row lists re-intersected over the same tail,
+//	         identity rows grown;
 //	private  per-executor plan discovery extended over the delta rows, the
 //	         per-plan aggregate state (attrState) advanced in row order with
 //	         only dirty groups re-sorted, join rToD mappings extended over
@@ -83,22 +84,16 @@ func (e *Executor) advanceLocked() {
 			c.wipe()
 			rebuilds++
 		} else {
-			scanned += e.advanceCore(&rebuilds)
+			scanned += e.advanceCore()
 		}
 		c.epoch = cur
 	}
 	apps := int64(cur - e.epoch)
 	if e.epoch != cur {
-		if e.DisableDeltaMaintenance || c.shiftEpoch > e.epoch {
-			// Knob-forced rebuild, or a dictionary re-encode shifted codes in
-			// the window this executor missed: plan discovery (rows filtered
-			// through code-keyed masks) is stale wholesale. Joins survive a
-			// shift — they key on composite value strings — but not the knob.
+		if e.DisableDeltaMaintenance {
 			e.plans = map[planKey]*planEntry{}
-			if e.DisableDeltaMaintenance {
-				e.joins = nil
-				rebuilds++
-			}
+			e.joins = nil
+			rebuilds++
 		} else {
 			scanned += e.advancePrivate()
 		}
@@ -120,45 +115,20 @@ func (c *tableCore) wipe() {
 	c.masks = map[string]*maskEntry{}
 	c.views = nil
 	c.domains = nil
-	c.dicts = nil
 	c.allRows = nil
 	c.mu.Unlock()
 }
 
 // advanceCore advances every shared-core entry over the appended rows, in
-// dependency order: dictionaries first (predicate advances read codes),
-// domains and views next (predicate kernels read them), group indexes, then
-// predicate bitmaps, masks and the identity row list. Caller holds the fence
-// in write mode, which excludes every reader of the core maps.
-func (e *Executor) advanceCore(rebuilds *int64) int64 {
+// dependency order: domains and views first (predicate kernels read them),
+// group indexes, then predicate bitmaps, masks and the identity row list.
+// String dictionaries need no advance: the append extended them in place.
+// Caller holds the fence in write mode, which excludes every reader of the
+// core maps.
+func (e *Executor) advanceCore() int64 {
 	c := e.core
 	n := c.t.NumRows()
 	var scanned int64
-
-	// Dictionaries: Column.Dict() already absorbed stable appends in place at
-	// append time; a changed pointer means a mid-domain value forced a full
-	// re-encode (or crossed the cardinality cap), shifting codes. Code-keyed
-	// predicate and mask entries are then stale as LOOKUP targets (key "=c5"
-	// now denotes a different value), so both maps drop wholesale.
-	shifted := false
-	for name, ent := range c.dicts {
-		col := c.t.Column(name)
-		if col == nil {
-			continue
-		}
-		if fresh := col.Dict(); fresh != ent.enc {
-			ent.enc = fresh
-			shifted = true
-		}
-	}
-	if shifted {
-		c.mu.Lock()
-		c.preds = map[string]*predEntry{}
-		c.masks = map[string]*maskEntry{}
-		c.mu.Unlock()
-		c.shiftEpoch = c.t.Epoch()
-		*rebuilds++
-	}
 
 	for name, ent := range c.domains {
 		if col := c.t.Column(name); col != nil {
@@ -550,7 +520,6 @@ func (st *attrState) advance(e *Executor, pe *planEntry, attr string, delta []in
 		for len(st.sortS) < ngroups {
 			st.sortS = append(st.sortS, nil)
 		}
-		// Str reads the []string backing or decodes a compact column's codes.
 		nd := 0
 		for _, i := range delta {
 			if !valid[i] {

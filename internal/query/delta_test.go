@@ -20,15 +20,16 @@ func deltaTable(n int, seed int64) *dataframe.Table {
 // deltaRows generates n rows of the delta schema. Modes shape the delta:
 //
 //	base       the mixed distribution the base table uses
-//	mixed      same distribution (in-domain appends: stable dictionaries)
+//	mixed      same distribution (in-domain appends)
 //	nulls      NULL-heavy x and cat
 //	newgroups  unseen k1 values, ts and lvl beyond their observed domains
 //	            (new groups; in-place narrow-code extension for lvl)
 //	dictshift  a cat value sorting inside the existing dictionary domain
-//	            (forces a re-encode: codes shift) and negative lvl values
-//	            (code base shifts: full code-array re-derivation)
-//	dictcap    over MaxDictCardinality distinct cat values (the dictionary
-//	            drops) and lvl values crossing the uint8 code width
+//	            (takes the next code; its rank lands mid-order) and negative
+//	            lvl values (code base shifts: full code-array re-derivation)
+//	dictcap    over 1024 distinct cat values (the uint16 code lane, past the
+//	            counting-sort bound) and lvl values crossing the uint8 code
+//	            width
 func deltaRows(n int, seed int64, mode string) *dataframe.Table {
 	rng := rand.New(rand.NewSource(seed))
 	k1 := make([]int64, n)
@@ -108,10 +109,10 @@ func deltaQueryPool(t *testing.T, r *dataframe.Table, nq int, seed int64) []Quer
 	return qs
 }
 
-// TestDeltaDifferential is the tentpole's enforcement: after every append, a
-// delta-maintained executor, a full-rebuild executor (DisableDeltaMaintenance)
-// and a from-scratch executor over the concatenated rows must return
-// row-for-row identical batches. The sweep covers append sizes 1, 7, a
+// TestDeltaDifferential is the delta layer's enforcement: after every append,
+// a delta-maintained executor and a full-rebuild executor
+// (DisableDeltaMaintenance) must both match the Query.Execute oracle over the
+// concatenated rows, row for row. The sweep covers append sizes 1, 7, a
 // morsel-boundary batch and a multi-morsel batch (morsel size 64), NULL-heavy
 // deltas, deltas creating new groups and widening integer domains, a
 // dictionary re-encode (mid-domain value) and a dictionary-cardinality-cap
@@ -155,13 +156,10 @@ func TestDeltaDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", round, err)
 				}
-				fresh, err := NewExecutor(ref, WithMorselRows(64)).ExecuteBatch(qs, "feature")
-				if err != nil {
-					t.Fatalf("%s: fresh: %v", round, err)
-				}
+				want := oracleBatch(t, ref, qs)
 				for i, q := range qs {
-					sameTable(t, fmt.Sprintf("%s delta-vs-fresh %s", round, q.SQL("r")), got[i], fresh[i])
-					sameTable(t, fmt.Sprintf("%s full-vs-fresh %s", round, q.SQL("r")), full[i], fresh[i])
+					sameTable(t, fmt.Sprintf("%s delta-vs-oracle %s", round, q.SQL("r")), got[i], want[i])
+					sameTable(t, fmt.Sprintf("%s full-vs-oracle %s", round, q.SQL("r")), full[i], want[i])
 				}
 			}
 
@@ -193,8 +191,8 @@ func TestDeltaDifferential(t *testing.T) {
 
 // TestDeltaAugmentDifferential covers the join/scatter side after appends: the
 // training-table features a delta-advanced executor serves must be
-// bit-identical to a from-scratch executor's, including groups that exist only
-// in the delta (join misses before, hits after).
+// bit-identical to the Query.Augment oracle's, including groups that exist
+// only in the delta (join misses before, hits after).
 func TestDeltaAugmentDifferential(t *testing.T) {
 	const nBase = 300
 	seed := int64(700)
@@ -228,15 +226,12 @@ func TestDeltaAugmentDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wvals, wvalid, err := NewExecutor(ref, WithMorselRows(64)).AugmentValuesBatch(d, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qs {
-			for row := range wvals[i] {
-				if valid[i][row] != wvalid[i][row] || vals[i][row] != wvals[i][row] {
-					t.Fatalf("append %d: %s row %d = (%v, %v), fresh (%v, %v)",
-						bi, qs[i].SQL("r"), row, vals[i][row], valid[i][row], wvals[i][row], wvalid[i][row])
+		for i, q := range qs {
+			wvals, wvalid := oracleFeature(t, d, ref, q)
+			for row := range wvals {
+				if valid[i][row] != wvalid[row] || vals[i][row] != wvals[row] {
+					t.Fatalf("append %d: %s row %d = (%v, %v), oracle (%v, %v)",
+						bi, q.SQL("r"), row, vals[i][row], valid[i][row], wvals[row], wvalid[row])
 				}
 			}
 		}
@@ -317,8 +312,8 @@ func TestDeltaStatsGolden(t *testing.T) {
 // TestConcurrentAppendsVsScans races appends against in-flight shared scans:
 // two executors over one scheduler-shared core run batches while the table
 // grows underneath them through the epoch fence. Run under -race this is the
-// fence's regression test; results after the dust settles must match a fresh
-// executor over the final rows.
+// fence's regression test; results after the dust settles must match the
+// Query.Execute oracle over the final rows.
 func TestConcurrentAppendsVsScans(t *testing.T) {
 	const nBase = 500
 	seed := int64(11)
@@ -372,10 +367,7 @@ func TestConcurrentAppendsVsScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewExecutor(ref).ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleBatch(t, ref, qs)
 	for _, ex := range []*Executor{ex1, ex2} {
 		got, err := ex.ExecuteBatch(qs, "feature")
 		if err != nil {

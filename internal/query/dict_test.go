@@ -11,8 +11,8 @@ import (
 
 // dictVariantTable is largeRandomTable with the cat column replaced by the
 // dictionary edge case under test: all-NULL (empty dictionary), a single
-// value, or a per-row-distinct domain above MaxDictCardinality (encode
-// declines, every consumer falls back).
+// value, or a per-row-distinct domain above the counting-sort bound (1024
+// values: the uint16 code lane and the comparison sort).
 func dictVariantTable(n int, seed int64, variant string) *dataframe.Table {
 	rng := rand.New(rand.NewSource(seed))
 	k1 := make([]int64, n)
@@ -50,11 +50,11 @@ func dictVariantTable(n int, seed int64, variant string) *dataframe.Table {
 	)
 }
 
-// TestDifferentialDictEncoding is the encoded-vs-unencoded contract: with
-// dictionary encoding on (default) and off (DisableDictEncoding), random
+// TestDifferentialDictEncoding is the dictionary-code contract: random
 // batches over mixed, NULL-heavy, all-NULL-string, single-value and
-// above-the-cap tables must produce bit-identical result tables — including
-// string group keys and order-statistics aggregates over strings.
+// high-cardinality tables must match the Query.Execute oracle bit for bit —
+// including string group keys and order-statistics aggregates over strings —
+// cold and warm.
 func TestDifferentialDictEncoding(t *testing.T) {
 	tables := map[string]*dataframe.Table{
 		"mixed":     largeRandomTable(500, 71),
@@ -79,12 +79,7 @@ func TestDifferentialDictEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
-			plain.DisableDictEncoding = true
-			want, err := plain.ExecuteBatch(qs, "feature")
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracleBatch(t, r, qs)
 			for i, q := range qs {
 				sameTable(t, q.SQL("r"), got[i], want[i])
 			}
@@ -96,29 +91,16 @@ func TestDifferentialDictEncoding(t *testing.T) {
 			for i, q := range qs {
 				sameTable(t, "warm "+q.SQL("r"), again[i], want[i])
 			}
-			if st := plain.Stats(); st.DictEncodes != 0 || st.CodePredScans != 0 {
-				t.Errorf("disabled executor touched the dictionary paths: %+v", st)
-			}
-			if name == "mixed" {
-				if st := enc.Stats(); st.DictEncodes == 0 || st.CodePredScans == 0 {
-					t.Errorf("encoded executor never used the code kernels: %+v", st)
-				}
-			}
-			if name == "highcard" {
-				// Above the cap the dictionary declines: lookups happen, code
-				// predicates cannot (the cat operand has no code).
-				if st := enc.Stats(); st.DictEncodes == 0 {
-					t.Errorf("highcard: no encode attempt recorded: %+v", st)
-				}
+			if st := enc.Stats(); st.CodePredScans == 0 {
+				t.Errorf("executor never used the code kernels: %+v", st)
 			}
 		})
 	}
 }
 
-// TestDictStatsGolden pins the dictionary counters on a fixed workload so the
-// accounting cannot drift silently: first lookup of each string column is the
-// encode, every later one a hit, and each distinct predicate entry builds its
-// bitmap through the code kernels exactly once.
+// TestDictStatsGolden pins the code-kernel counter on a fixed workload so the
+// accounting cannot drift silently: each distinct predicate entry builds its
+// bitmap through the code kernels exactly once, and a warm batch builds none.
 func TestDictStatsGolden(t *testing.T) {
 	r := largeRandomTable(300, 91)
 	e := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
@@ -133,25 +115,16 @@ func TestDictStatsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.DictEncodes != 2 {
-		t.Errorf("DictEncodes = %d, want 2 (cat and k2, one encode each)", st.DictEncodes)
+	if st.CodePredScans != 2 || st.SwarPredScans != 2 {
+		t.Errorf("CodePredScans/SwarPredScans = %d/%d, want 2/2 (cat='a' and cat='b' bitmaps)",
+			st.CodePredScans, st.SwarPredScans)
 	}
-	if st.CodePredScans != 2 {
-		t.Errorf("CodePredScans = %d, want 2 (cat='a' and cat='b' bitmaps)", st.CodePredScans)
-	}
-	if st.DictHits == 0 {
-		t.Errorf("DictHits = 0, want repeated lookups to hit the shared entry")
-	}
-	// The same batch warm: every dictionary lookup hits, no new code preds.
+	// The same batch warm: every predicate bitmap is a cache hit.
 	if _, err := e.ExecuteBatch(qs, "feature"); err != nil {
 		t.Fatal(err)
 	}
-	st2 := e.Stats()
-	if st2.DictEncodes != st.DictEncodes || st2.CodePredScans != st.CodePredScans {
-		t.Errorf("warm batch re-encoded or rebuilt: %+v -> %+v", st, st2)
-	}
-	if st2.DictHits <= st.DictHits {
-		t.Errorf("warm batch recorded no dictionary hits: %d -> %d", st.DictHits, st2.DictHits)
+	if st2 := e.Stats(); st2.CodePredScans != st.CodePredScans {
+		t.Errorf("warm batch rebuilt predicate bitmaps: %+v -> %+v", st, st2)
 	}
 }
 
@@ -202,13 +175,8 @@ func TestPredKeyCanonical(t *testing.T) {
 		t.Errorf("CodePredScans = %d, want 1 shared bitmap build", st.CodePredScans)
 	}
 	// And the shared entry serves the correct rows: differential against the
-	// disabled executor.
-	plain := NewExecutor(r, WithScanScheduler(NewScanScheduler()))
-	plain.DisableDictEncoding = true
-	want, err := plain.ExecuteBatch(qs, "feature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Query.Execute oracle.
+	want := oracleBatch(t, r, qs)
 	for i, q := range qs {
 		sameTable(t, q.SQL("r"), got[i], want[i])
 	}

@@ -52,17 +52,6 @@ type Executor struct {
 	optMorselRows int            // WithMorselRows, private cores only
 	// Parallelism bounds the batch worker pool; 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableCountingSort forces the fused per-group sort through the generic
-	// comparison sort even when the aggregation attribute has a cached
-	// low-cardinality domain. Differential tests and benchmarks flip it.
-	DisableCountingSort bool
-	// DisableDictEncoding forces the unencoded scan kernels: string equality
-	// predicates compare Go strings row by row, int/time ranges scan the
-	// float view, and group indexes hash composite keys instead of mapping
-	// dictionary codes. Results are bit-identical either way (the
-	// differential tests sweep this knob); the counting-sort path keeps its
-	// own knob and is unaffected.
-	DisableDictEncoding bool
 	// DisableDeltaMaintenance forces a full cache rebuild whenever the scan
 	// table's epoch advances (see delta.go): every shared-core entry and
 	// every private plan/join entry is dropped instead of advanced over the
@@ -72,12 +61,6 @@ type Executor struct {
 	// core, so flipping it on one executor degrades (never corrupts) its
 	// core-sharing siblings; it is a test/bench knob, not a production mode.
 	DisableDeltaMaintenance bool
-	// DisableCompactStrings forces the word-parallel (SWAR) code kernels off:
-	// predicate bitmaps fall back to the scalar per-code loops. It does
-	// not change storage — compact tables stay compact; both kernel families
-	// read the same code arrays — so the knob gives a clean like-for-like A/B.
-	// Results are bit-identical either way (the differential tests sweep it).
-	DisableCompactStrings bool
 
 	// epoch is the scan-table epoch this executor's PRIVATE caches (plans,
 	// joins, aggregate state) cover; the shared core tracks its own. Guarded
@@ -118,17 +101,15 @@ type ExecutorStats struct {
 	// (1.0 = no sharing, as in a single-query call).
 	ScatterPasses, ScatterQueries int64
 	CountingScans                 int64 // fused sorts served by the counting path
-	// Dictionary encoding (see dict.go): DictEncodes counts first-use
-	// dictionary builds charged to this executor's core, DictHits counts
-	// lookups served by an existing encoding, and CodePredScans counts
-	// predicate bitmaps built through the branch-free code kernels instead
-	// of the row-at-a-time comparison loops.
-	DictEncodes, DictHits int64
-	CodePredScans         int64
-	// Word-parallel kernels (PR 10, see swar.go): SwarPredScans counts
-	// predicate bitmaps built 8×uint8 / 4×uint16 codes per 64-bit word (a
-	// subset of CodePredScans — wide columns and DisableCompactStrings fall
-	// back to the scalar code loops), and CountOnlyQueries counts COUNT
+	// Code kernels (see dict.go): CodePredScans counts predicate bitmaps
+	// built through the branch-free code kernels (every string equality, and
+	// int/time ranges the domain probe admits) instead of the row-at-a-time
+	// float-view loops.
+	CodePredScans int64
+	// Word-parallel kernels (see swar.go): SwarPredScans counts predicate
+	// bitmaps built 8×uint8 / 4×uint16 codes per 64-bit word (a subset of
+	// CodePredScans; columns wider than the uint16 lane run one compare per
+	// row), and CountOnlyQueries counts COUNT
 	// queries served straight from the plan's popcount-derived group counts
 	// with no value pass at all.
 	SwarPredScans    int64
@@ -150,8 +131,7 @@ type ExecutorStats struct {
 	// scans visited (summed across the entries each advance touched),
 	// DirtyGroupResorts the per-group sorted runs re-sorted because a delta
 	// landed in the group, and FullRebuilds the advances that dropped caches
-	// wholesale instead (DisableDeltaMaintenance, or a dictionary re-encode
-	// shifting codes).
+	// wholesale instead (DisableDeltaMaintenance).
 	DeltaAppends, DeltaRowsScanned int64
 	DirtyGroupResorts              int64
 	FullRebuilds                   int64
@@ -179,8 +159,6 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 	s.ScatterPasses += o.ScatterPasses
 	s.ScatterQueries += o.ScatterQueries
 	s.CountingScans += o.CountingScans
-	s.DictEncodes += o.DictEncodes
-	s.DictHits += o.DictHits
 	s.CodePredScans += o.CodePredScans
 	s.SwarPredScans += o.SwarPredScans
 	s.CountOnlyQueries += o.CountOnlyQueries
@@ -198,13 +176,13 @@ func (s ExecutorStats) Add(o ExecutorStats) ExecutorStats {
 // String renders the snapshot as one compact log line.
 func (s ExecutorStats) String() string {
 	return fmt.Sprintf(
-		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries over %d scans (%d counting), single %d calls (%d count-only), scatter %d queries over %d passes, dict %d encodes / %d hits (%d code preds, %d swar), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
+		"groups %d/%d masks %d/%d preds %d/%d plans %d/%d joins %d/%d shared-joins %d/%d (hit/miss), fused %d queries over %d scans (%d counting), single %d calls (%d count-only), scatter %d queries over %d passes, %d code preds (%d swar), shared-scans %d passes / %d subscribed, %d morsels, delta %d appends / %d rows (%d resorts, %d rebuilds), %d evictions",
 		s.GroupHits, s.GroupMisses, s.MaskHits, s.MaskMisses, s.PredHits, s.PredMisses,
 		s.PlanHits, s.PlanMisses, s.JoinHits, s.JoinMisses,
 		s.SharedJoinHits, s.SharedJoinMisses,
 		s.FusedQueries, s.FusedScans, s.CountingScans, s.CoreQueries, s.CountOnlyQueries,
 		s.ScatterQueries, s.ScatterPasses,
-		s.DictEncodes, s.DictHits, s.CodePredScans, s.SwarPredScans,
+		s.CodePredScans, s.SwarPredScans,
 		s.SharedScanPasses, s.SharedScanSubscribers, s.MorselsScanned,
 		s.DeltaAppends, s.DeltaRowsScanned, s.DirtyGroupResorts, s.FullRebuilds,
 		s.Evictions+s.SharedJoinEvictions)
@@ -389,20 +367,7 @@ func (e *Executor) groupIndex(keys []string) (*dataframe.GroupIndex, error) {
 		func() *groupEntry { return &groupEntry{owner: e} })
 	c.mu.Unlock()
 	e.noteShared(hit, evicted, ent.owner, &e.stats.GroupHits, &e.stats.GroupMisses, true)
-	ent.once.Do(func() {
-		if e.DisableDictEncoding {
-			ent.idx, ent.err = c.t.BuildGroupIndexGeneric(keys...)
-			return
-		}
-		// Route string key encodes through dictFor first, so the encode is
-		// charged to the executor's counters before the build consumes it.
-		for _, name := range keys {
-			if kc := c.t.Column(name); kc != nil && kc.Kind() == dataframe.KindString {
-				e.dictFor(kc)
-			}
-		}
-		ent.idx, ent.err = c.t.BuildGroupIndex(keys...)
-	})
+	ent.once.Do(func() { ent.idx, ent.err = c.t.BuildGroupIndex(keys...) })
 	return ent.idx, ent.err
 }
 
@@ -438,12 +403,12 @@ func predCacheKey(p Predicate) string {
 }
 
 // predKey is predCacheKey specialised to the executor's table: the equality
-// operand the column's kind cannot read is dropped, and when the column is
-// dictionary-encoded the string operand collapses to its dictionary code —
-// the canonical identity — so predicate spellings that differ only in the
-// irrelevant operand (or quote to the same dictionary entry) share one cache
-// entry and one mask signature. Predicates the table cannot resolve keep the
-// generic encoding (they error later, in buildPredBits).
+// operand the column's kind cannot read is dropped, and a string operand in
+// the column's domain collapses to its dictionary code (codes never shift on
+// append, so the key stays valid) — so predicate spellings that differ only
+// in the irrelevant operand share one cache entry and one mask signature.
+// Predicates the table cannot resolve keep the generic encoding (they error
+// later, in buildPredBits).
 func (e *Executor) predKey(p Predicate) string {
 	if p.Kind != PredEq {
 		return predCacheKey(p)
@@ -456,16 +421,12 @@ func (e *Executor) predKey(p Predicate) string {
 	b = append(b, p.Attr...)
 	switch col.Kind() {
 	case dataframe.KindString:
-		if !e.DisableDictEncoding {
-			if enc := e.dictFor(col); enc != nil {
-				if code, ok := enc.CodeOf(p.StrValue); ok {
-					b = append(b, "=c"...)
-					return string(strconv.AppendUint(b, uint64(code), 10))
-				}
-				// Operands outside the dictionary select zero rows each;
-				// distinct literals stay distinct (identical, empty) entries.
-			}
+		if code, ok := col.Dict().CodeOf(p.StrValue); ok {
+			b = append(b, "=c"...)
+			return string(strconv.AppendUint(b, uint64(code), 10))
 		}
+		// Operands outside the domain select zero rows each; distinct
+		// literals stay distinct (identical, empty) entries.
 		b = append(b, "=s"...)
 		return string(append(b, p.StrValue...))
 	case dataframe.KindBool:
@@ -543,13 +504,10 @@ func (e *Executor) floatView(col *dataframe.Column) []float64 {
 // buildPredBits evaluates one predicate into a full-table bitmap through
 // kind-specialised loops (direct slice access instead of Predicate.Eval's
 // per-row AsFloat calls). Semantics match Eval exactly: NULL rows never
-// match, bounds are inclusive.
-//
-// When the executor's dictionary kernels are enabled (the default), string
-// equality resolves the operand to its code and compares narrow integers,
-// and int/time ranges compare exact integer bounds — both branch-free, word
-// at a time (see dict.go). The fallbacks below remain the reference
-// semantics the differential tests sweep against.
+// match, bounds are inclusive. String equality resolves the operand to its
+// code and compares codes, and int/time ranges the domain probe admits
+// compare exact integer bounds, both branch-free, word at a time (see
+// dict.go); other ranges scan the float view.
 func (e *Executor) buildPredBits(p Predicate) ([]uint64, error) {
 	n := e.core.t.NumRows()
 	bm := make([]uint64, (n+63)/64)
@@ -576,24 +534,12 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 	case PredEq:
 		switch col.Kind() {
 		case dataframe.KindString:
-			if !e.DisableDictEncoding {
-				if enc := e.dictFor(col); enc != nil {
-					e.noteCodePred()
-					if code, ok := enc.CodeOf(p.StrValue); ok {
-						if dictEqBitsFrom(enc, code, bm, lo, !e.DisableCompactStrings) {
-							e.noteSwarPred()
-						}
-					}
-					// Operand not in the dictionary: no row matches.
-					return nil
-				}
-			}
-			// col.Str decodes per row, so this fallback also serves compact
-			// columns (whose StrData is nil) when encoding kernels are off.
-			for i := lo; i < n; i++ {
-				if valid[i] && col.Str(i) == p.StrValue {
-					set(i)
-				}
+			e.noteCodePred()
+			enc := col.Dict()
+			// An operand outside the domain matches no row; domains only
+			// grow, so it matched none of the rows before lo either.
+			if code, ok := enc.CodeOf(p.StrValue); ok && dictEqBitsFrom(enc, code, bm, lo) {
+				e.noteSwarPred()
 			}
 		case dataframe.KindBool:
 			bools := col.BoolData()
@@ -609,11 +555,10 @@ func (e *Executor) buildPredBitsFrom(p Predicate, lo int, bm []uint64) error {
 		if !col.Kind().IsNumeric() {
 			return fmt.Errorf("query: range predicate on %s column %q", col.Kind(), p.Attr)
 		}
-		if k := col.Kind(); !e.DisableDictEncoding && (p.HasLo || p.HasHi) &&
-			(k == dataframe.KindInt || k == dataframe.KindTime) {
+		if k := col.Kind(); (p.HasLo || p.HasHi) && (k == dataframe.KindInt || k == dataframe.KindTime) {
 			if dom := e.domain(col); dom.intOK {
 				e.noteCodePred()
-				if intRangeBitsFrom(dom, p, bm, lo, !e.DisableCompactStrings) {
+				if intRangeBitsFrom(dom, p, bm, lo) {
 					e.noteSwarPred()
 				}
 				return nil

@@ -167,7 +167,6 @@ type attrScan struct {
 
 	valid []bool
 	fvals []float64 // cached float view (numeric attributes)
-	strs  []string  // backing strings (string attributes)
 
 	// Accumulators, one slot per non-empty group.
 	nvalid   []int
@@ -188,7 +187,7 @@ type attrScan struct {
 
 	// Counting-path state (see counting.go): the attribute's cached domain
 	// probe (nil or ineligible → comparison sort), per-segment count and
-	// touched-code scratch, and the code buffer string attributes scatter
+	// touched-code scratch, and the rank buffer string attributes scatter
 	// into instead of strings.
 	dom     *domainEntry
 	cnt     []int32
@@ -264,9 +263,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, retain bool)
 				col:       col,
 				valid:     col.ValidData(),
 			}
-			if as.useString {
-				as.strs = col.StrData()
-			} else {
+			if !as.useString {
 				as.fvals = e.floatView(col)
 			}
 			attrs[pair.attr] = as
@@ -342,7 +339,7 @@ func (e *Executor) runPlanGroup(ctx context.Context, g *fusedGroup, retain bool)
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			if as.needBuf && !e.DisableCountingSort {
+			if as.needBuf {
 				if dom := e.domain(as.col); dom.ok {
 					as.dom = dom
 				}
@@ -418,15 +415,17 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 	if as.useString {
 		as.sbuf = make([]string, as.offs[ngroups])
 		if as.dom != nil {
-			// Counting path: scatter int32 codes instead of strings, then
-			// write each group's segment already sorted from the dictionary —
-			// no string moves in the scatter, no string compares at all.
+			// Counting path: scatter each row's rank (its code's position in
+			// value order) instead of its string, then write each group's
+			// segment already sorted from the dictionary — no string moves in
+			// the scatter, no string compares at all.
 			e.countingScan()
 			if cap(as.cbuf) < as.offs[ngroups] {
 				as.cbuf = make([]uint32, as.offs[ngroups])
 			}
 			cbuf := as.cbuf[:as.offs[ngroups]]
-			codes, fill := as.dom.codes, as.fill
+			enc, fill := as.dom.enc, as.fill
+			codes, rank := enc.Codes(), enc.Rank()
 			for _, sg := range pe.segs {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -435,38 +434,28 @@ func (as *attrScan) scan(ctx context.Context, e *Executor, pe *planEntry, ngroup
 				for _, i := range pe.rows[sg[0]:sg[1]] {
 					if valid[i] {
 						li := local[rowGID[i]] - 1
-						cbuf[fill[li]] = codes[i]
+						cbuf[fill[li]] = rank[codes[i]]
 						fill[li]++
 					}
 				}
 			}
 			for li := 0; li < ngroups; li++ {
-				as.countingFillStrings(as.sbuf[as.offs[li]:fill[li]], cbuf[as.offs[li]:fill[li]], as.dom.svals, as.dom.k)
+				as.countingFillStrings(as.sbuf[as.offs[li]:fill[li]], cbuf[as.offs[li]:fill[li]], enc.Values(), enc.Sorted(), as.dom.k)
 			}
 			return nil
 		}
-		strs, sbuf, fill := as.strs, as.sbuf, as.fill
+		// Domains above the counting cap: decode per row, then sort.
+		sbuf, fill := as.sbuf, as.fill
 		for _, sg := range pe.segs {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			e.noteMorsel()
-			if strs != nil {
-				for _, i := range pe.rows[sg[0]:sg[1]] {
-					if valid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = strs[i]
-						fill[li]++
-					}
-				}
-			} else {
-				// Compact column (nil StrData): decode per row via the dict.
-				for _, i := range pe.rows[sg[0]:sg[1]] {
-					if valid[i] {
-						li := local[rowGID[i]] - 1
-						sbuf[fill[li]] = as.col.Str(i)
-						fill[li]++
-					}
+			for _, i := range pe.rows[sg[0]:sg[1]] {
+				if valid[i] {
+					li := local[rowGID[i]] - 1
+					sbuf[fill[li]] = as.col.Str(i)
+					fill[li]++
 				}
 			}
 		}

@@ -1,13 +1,14 @@
 package query
 
-// The scan scheduler: cross-executor sharing of table-scan state. PRs 3/5
-// fused scans *within* one executor; every executor still owned its group
-// indexes, predicate bitmaps, WHERE masks, float views and domain probes
-// privately, so k executors over one table ran k identical full-table
-// passes. This file hoists that state into a tableCore — the scan-side cache
-// of ONE table — and a ScanScheduler that hands executors a shared core keyed
-// by the table's identity fingerprint (the JoinCache pattern, applied to the
-// relevant-table side).
+// The scan scheduler: cross-executor sharing of table-scan state. Every
+// cache whose contents depend only on the table (group indexes, predicate
+// bitmaps, WHERE masks, float views, domain probes) lives in a tableCore, the
+// scan-side cache of ONE table, and a ScanScheduler hands executors a shared
+// core keyed by the table's identity fingerprint (the JoinCache pattern,
+// applied to the relevant-table side), so k executors over one table run one
+// set of full-table passes between them. String dictionaries are not core
+// state: they are the columns' storage (dataframe.DictEncoding), shared by
+// every executor that reads the column, and grow in place on append.
 //
 // An executor built WithScanScheduler takes the scheduler's core for its
 // table; without one it owns a private core. The serving layer routes every
@@ -26,8 +27,9 @@ import (
 )
 
 // tableCore is the scan-side state of one table: every cache whose contents
-// depend only on the table (not on the executor) lives here. Executors over the same core share entries; entries record the
-// executor that created them so subscribers can be counted. All maps are
+// depend only on the table (not on the executor) lives here. Executors over
+// the same core share entries; entries record the executor that created them
+// so subscribers can be counted. All maps are
 // guarded by mu; the entries themselves synchronise through their once.
 type tableCore struct {
 	t          *dataframe.Table
@@ -36,14 +38,11 @@ type tableCore struct {
 	// Epoch fence (PR 9). Scans hold fence.RLock for their whole pass;
 	// appends and delta advances hold fence.Lock, so readers never observe a
 	// half-appended table or half-advanced entries. epoch is the table epoch
-	// the core's entries cover, and shiftEpoch the last epoch whose advance
-	// re-encoded a dictionary (shifting codes and wiping the code-keyed
-	// predicate/mask maps); both are guarded by fence. The maps below stay
-	// guarded by mu as before — fence orders scans against appends, mu orders
-	// entry creation within a scan.
-	fence      sync.RWMutex
-	epoch      uint64
-	shiftEpoch uint64
+	// the core's entries cover, guarded by fence. The maps below are guarded
+	// by mu: fence orders scans against appends, mu orders entry creation
+	// within a scan.
+	fence sync.RWMutex
+	epoch uint64
 
 	mu      sync.Mutex
 	groups  map[string]*groupEntry
@@ -51,7 +50,6 @@ type tableCore struct {
 	masks   map[string]*maskEntry
 	views   map[string]*viewEntry   // per-column float views (int/time/bool)
 	domains map[string]*domainEntry // per-column low-cardinality domain probes
-	dicts   map[string]*dictEntry   // per-column dictionary encodings (see dict.go)
 	allRows []int                   // lazily built identity row list
 }
 

@@ -57,10 +57,10 @@ func TestSharedScanCounters(t *testing.T) {
 // TestConcurrentScanSharing hammers one scheduler with k executors over one
 // table running batches concurrently (under -race) — plan groups from several
 // executors subscribing to the same core entries while they are being built —
-// and requires every result to match a private, single-threaded, unencoded
-// reference bit for bit. It sweeps mixed, NULL-heavy and compact
-// (code-backed) tables, so the dictionary and SWAR kernels run on a shared
-// core too; the tiny morsel size maximises segment-boundary traffic.
+// and requires every result to match the Query.Augment oracle bit for bit.
+// It sweeps mixed, NULL-heavy and high-cardinality string tables, so the
+// uint8 and uint16 code lanes and the comparison-sort fallback run on a
+// shared core too; the tiny morsel size maximises segment-boundary traffic.
 func TestConcurrentScanSharing(t *testing.T) {
 	d := dupKeyTrainTable(150, 182)
 	rng := rand.New(rand.NewSource(183))
@@ -69,15 +69,14 @@ func TestConcurrentScanSharing(t *testing.T) {
 	tables := map[string]func() *dataframe.Table{
 		"mixed":     func() *dataframe.Table { return largeRandomTable(300, 181) },
 		"nullheavy": func() *dataframe.Table { return nullHeavyTable(300, 184) },
-		"compact":   func() *dataframe.Table { return compacted(t, largeRandomTable(300, 181)) },
+		"highcard":  func() *dataframe.Table { return dictVariantTable(1200, 185, "highcard") },
 	}
 	for name, build := range tables {
 		t.Run(name, func(t *testing.T) {
-			ref := NewExecutor(build())
-			ref.DisableDictEncoding = true
-			refV, refOK, err := ref.AugmentValuesBatch(d, qs)
-			if err != nil {
-				t.Fatal(err)
+			refV := make([][]float64, len(qs))
+			refOK := make([][]bool, len(qs))
+			for qi, q := range qs {
+				refV[qi], refOK[qi] = oracleFeature(t, d, build(), q)
 			}
 
 			r := build()

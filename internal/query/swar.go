@@ -1,7 +1,8 @@
 package query
 
-// Word-parallel (SWAR) scan kernels (PR 10). The PR 8 code kernels compare
-// one narrow code per iteration; these process a full 64-bit word per step —
+// Word-parallel (SWAR) scan kernels: every narrow code predicate (string
+// equality over the uint8/uint16 dictionary mirror, small-int ranges over the
+// domain probe's codes) runs here. They process a full 64-bit word per step —
 // 8 uint8 codes or 4 uint16 codes — using carry-free byte/lane arithmetic, so
 // a 64-row bitmap word costs 8 (or 16) word ops instead of 64 scalar
 // compares. Three tricks, all branch-free within a word:
@@ -19,11 +20,10 @@ package query
 //   - Movemask: the high-bit flags multiply-shift down to one bit per lane
 //     (8-lane: ((y>>7) * 0x0102040810204080) >> 56 routes flag k to bit k).
 //
-// Each kernel mirrors the eqCodeBits loop contract exactly — full words go
-// word-parallel, the ragged tail falls back to the scalar loop, and every
-// output word is AND-ed with the validity bitmap — so the bitmaps are
-// bit-identical to the scalar kernels' (the differential suite sweeps
-// DisableCompactStrings to pin that).
+// Each kernel's contract is the one-compare-per-row loop: full words go
+// word-parallel, the ragged tail falls back to a scalar loop, and every
+// output word is AND-ed with the validity bitmap. swar_test.go keeps scalar
+// reference kernels and checks the bitmaps bit for bit against them.
 
 import "encoding/binary"
 
@@ -92,7 +92,8 @@ func load16x4(c []uint16) uint64 {
 	return uint64(c[0]) | uint64(c[1])<<16 | uint64(c[2])<<32 | uint64(c[3])<<48
 }
 
-// swarEqBits8 is eqCodeBits[uint8] word-parallel: 8 codes per step.
+// swarEqBits8 fills bm with the rows whose uint8 code equals target, masked
+// to valid rows: 8 codes per step.
 func swarEqBits8(codes []uint8, vbits []uint64, target uint8, bm []uint64) {
 	n := len(codes)
 	pat := uint64(target) * lanes8
@@ -117,7 +118,7 @@ func swarEqBits8(codes []uint8, vbits []uint64, target uint8, bm []uint64) {
 	}
 }
 
-// swarEqBits16 is eqCodeBits[uint16] word-parallel: 4 codes per step.
+// swarEqBits16 is swarEqBits8 over uint16 codes: 4 codes per step.
 func swarEqBits16(codes []uint16, vbits []uint64, target uint16, bm []uint64) {
 	n := len(codes)
 	pat := uint64(target) * lanes16
@@ -142,8 +143,8 @@ func swarEqBits16(codes []uint16, vbits []uint64, target uint16, bm []uint64) {
 	}
 }
 
-// swarRangeBits8 is rangeCodeBits[uint8] word-parallel: lo <= code <= hi as
-// ge(lo) minus ge(hi+1), 8 codes per step.
+// swarRangeBits8 fills bm with the rows whose uint8 code lies in [lo, hi]
+// (lo <= hi), masked to valid rows: ge(lo) minus ge(hi+1), 8 codes per step.
 func swarRangeBits8(codes []uint8, vbits []uint64, lo, hi uint8, bm []uint64) {
 	n := len(codes)
 	klo, khi := int(lo), int(hi)+1
@@ -170,7 +171,7 @@ func swarRangeBits8(codes []uint8, vbits []uint64, lo, hi uint8, bm []uint64) {
 	}
 }
 
-// swarRangeBits16 is rangeCodeBits[uint16] word-parallel: 4 codes per step.
+// swarRangeBits16 is swarRangeBits8 over uint16 codes: 4 codes per step.
 func swarRangeBits16(codes []uint16, vbits []uint64, lo, hi uint16, bm []uint64) {
 	n := len(codes)
 	klo, khi := int(lo), int(hi)+1

@@ -5,6 +5,40 @@ import (
 	"testing"
 )
 
+// eqCodeBits is the scalar reference the word-parallel equality kernels must
+// reproduce: one code compare per row, each 64-row word masked to valid rows.
+func eqCodeBits[T ~uint8 | ~uint16](codes []T, vbits []uint64, target T, bm []uint64) {
+	n := len(codes)
+	for wi := range bm {
+		lo := wi << 6
+		hi := min(lo+64, n)
+		var w uint64
+		for i := lo; i < hi; i++ {
+			if codes[i] == target {
+				w |= 1 << uint(i-lo)
+			}
+		}
+		bm[wi] = w & vbits[wi]
+	}
+}
+
+// rangeCodeBits is the scalar reference of the word-parallel range kernels:
+// lo <= code <= hi per row (lo <= hi), masked to valid rows.
+func rangeCodeBits[T ~uint8 | ~uint16](codes []T, vbits []uint64, lo, hi T, bm []uint64) {
+	n := len(codes)
+	for wi := range bm {
+		wlo := wi << 6
+		whi := min(wlo+64, n)
+		var w uint64
+		for i := wlo; i < whi; i++ {
+			if codes[i] >= lo && codes[i] <= hi {
+				w |= 1 << uint(i-wlo)
+			}
+		}
+		bm[wi] = w & vbits[wi]
+	}
+}
+
 // randValidBits builds a random validity bitmap for n rows (tail bits beyond n
 // are zero, matching DictEncoding.ValidBits).
 func randValidBits(rng *rand.Rand, n int) []uint64 {

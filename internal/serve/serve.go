@@ -219,7 +219,7 @@ func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.T
 		for _, src := range mp.Sources {
 			tables = append(tables, binding.Sources[src.Name])
 		}
-		return tr, encodeDicts(tables), nil
+		return tr, tables, nil
 	}
 	if binding.Relevant == nil {
 		return nil, nil, fmt.Errorf("serve: binding has neither Relevant nor Sources")
@@ -232,17 +232,7 @@ func bindPlan(planJSON []byte, binding PlanBinding) (Transformer, []*dataframe.T
 	if err != nil {
 		return nil, nil, err
 	}
-	return tr, encodeDicts([]*dataframe.Table{binding.Relevant}), nil
-}
-
-// encodeDicts eagerly dictionary-encodes the bound tables' string columns
-// (dataframe.Table.EncodeDicts), so a freshly added or swapped plan pays its
-// encode passes at bind time instead of on the first serving request.
-func encodeDicts(tables []*dataframe.Table) []*dataframe.Table {
-	for _, t := range tables {
-		t.EncodeDicts()
-	}
-	return tables
+	return tr, []*dataframe.Table{binding.Relevant}, nil
 }
 
 // Swap hot-swaps plan name to new plan bytes: the fresh state binds first,

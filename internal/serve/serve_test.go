@@ -197,10 +197,9 @@ func TestServeDifferentialCoalesced(t *testing.T) {
 }
 
 // TestServeStatsTableBytes checks the /v1/stats residency gauge: TableBytes
-// reports the bound relevant table's resident estimate, and compacting the
-// table's string columns (code-backed storage, PR 10) shows up as a drop on
-// the very next snapshot — the gauge reads live table state, not a cached
-// figure from bind time.
+// reports the bound relevant table's resident estimate, and an append shows
+// up as a rise on the very next snapshot — the gauge reads live table state,
+// not a cached figure from bind time.
 func TestServeStatsTableBytes(t *testing.T) {
 	rel := testRelevant(t, 2000, 50, 3)
 	srv := NewServer(Config{})
@@ -212,14 +211,14 @@ func TestServeStatsTableBytes(t *testing.T) {
 	if before != want || before <= 0 {
 		t.Fatalf("TableBytes = %d, want %d (> 0)", before, want)
 	}
-	if n := rel.Compact(); n == 0 {
-		t.Fatal("relevant table did not compact")
+	if _, _, err := srv.Append("p", testRelevant(t, 300, 50, 4)); err != nil {
+		t.Fatal(err)
 	}
 	after := srv.Stats().Plans[0].TableBytes
-	if after >= before {
-		t.Errorf("TableBytes after Compact = %d, want < %d", after, before)
+	if want, _ := rel.MemBytes(); after != want || after <= before {
+		t.Errorf("TableBytes after Append = %d, want %d (> %d)", after, want, before)
 	}
-	// The compacted table still serves: transform a batch and confirm the
+	// The grown table still serves: transform a batch and confirm the
 	// endpoint-side JSON carries the gauge.
 	if _, _, err := srv.Transform(context.Background(), "p", keyTable(t, []int64{1, 2})); err != nil {
 		t.Fatal(err)
@@ -717,20 +716,15 @@ func TestServeAppend(t *testing.T) {
 	}
 }
 
-// TestServeStatsDictCounters pins the PR 8 dictionary counters on the stats
-// surface: the /v1/stats JSON must carry the new executor fields, binding a
-// plan must eagerly encode the relevant table's string columns, and serving
-// a plan with string-equality predicates must route them through the
-// dictionary-code kernels.
+// TestServeStatsDictCounters pins the code-kernel counters on the stats
+// surface: the /v1/stats JSON must carry the executor fields, and serving a
+// plan with string-equality predicates must route them through the
+// dictionary-code kernels, word-parallel over the uint8 code lane.
 func TestServeStatsDictCounters(t *testing.T) {
 	rel := testRelevant(t, 500, 20, 9)
 	srv := NewServer(Config{CoalesceWindow: -1})
 	if err := srv.AddPlan("p", testPlanJSON(t, 4), PlanBinding{Relevant: rel}); err != nil {
 		t.Fatal(err)
-	}
-	// AddPlan encodes at bind; the table's one string column is encodable.
-	if n := rel.EncodeDicts(); n != 1 {
-		t.Errorf("EncodeDicts = %d encoded columns, want 1", n)
 	}
 
 	ts := httptest.NewServer(srv.Handler())
@@ -754,7 +748,7 @@ func TestServeStatsDictCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"DictEncodes", "DictHits", "CodePredScans"} {
+	for _, field := range []string{"CodePredScans", "SwarPredScans"} {
 		if !bytes.Contains(raw, []byte(field)) {
 			t.Errorf("/v1/stats JSON missing executor field %q", field)
 		}
@@ -767,10 +761,7 @@ func TestServeStatsDictCounters(t *testing.T) {
 		t.Fatalf("stats plans = %d", len(st.Plans))
 	}
 	ex := st.Plans[0].Executor
-	if ex.DictEncodes+ex.DictHits == 0 {
-		t.Errorf("no dictionary lookups recorded: %+v", ex)
-	}
-	if ex.CodePredScans == 0 {
-		t.Errorf("string-equality predicates did not use the code kernels: %+v", ex)
+	if ex.CodePredScans == 0 || ex.SwarPredScans == 0 {
+		t.Errorf("string-equality predicates did not use the word-parallel code kernels: %+v", ex)
 	}
 }

@@ -47,9 +47,9 @@ type PlanStats struct {
 	AppendedRows int64  `json:"appended_rows"`
 	TableEpoch   uint64 `json:"table_epoch"`
 	// TableBytes is the estimated resident footprint of the bound relevant
-	// table(s) — summed across sources for multi-source plans. Compact
-	// string columns (code-backed, PR 10) show up here as the drop from
-	// ~16+len(s) bytes per cell to one narrow code per cell.
+	// table(s) — summed across sources for multi-source plans. String
+	// columns count as their dictionary codes (one narrow code per cell)
+	// plus the domain.
 	TableBytes int64 `json:"table_bytes"`
 	// Executor is the current transformer's engine-side counter snapshot
 	// (for multi-table plans, merged across the per-source executors).
